@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <memory>
 #include <random>
 #include <unordered_set>
@@ -421,7 +422,7 @@ void Explorer::RunGroupReplay(const GroupPlan& group, const TestBody& body,
   node(1, 0, std::move(first), std::move(probe));
 }
 
-void Explorer::RunGroupCheckpoint(const GroupPlan& group, const TestBody& body,
+bool Explorer::RunGroupCheckpoint(const GroupPlan& group, const TestBody& body,
                                   std::vector<ScheduleOutcome>* outcomes, WorkerArena* arena) {
   outcomes->assign(static_cast<size_t>(group.members), ScheduleOutcome{});
 
@@ -487,6 +488,17 @@ void Explorer::RunGroupCheckpoint(const GroupPlan& group, const TestBody& body,
       },
       exec_stacks.Acquire(kExecStackBytes), &exec_stacks);
   rt.scheduler().set_checkpoint_hook([&exec] { exec.Suspend(); });
+
+  // A fiber can pause mid-unwind: ~MonitorGuard's Exit charges virtual time. The exception in
+  // flight is heap state plus a per-OS-thread count that no Checkpoint rewinds, so such a
+  // pause is neither snapshotted nor restored past — the group is recomputed from zero.
+  struct ExceptionInFlight {};
+  auto resume_exec = [&exec] {
+    exec.Resume();
+    if (!exec.finished() && std::uncaught_exceptions() > 0) {
+      throw ExceptionInFlight{};
+    }
+  };
 
   // Restores rewind the scheduler's own counters, so profile deltas are harvested per executed
   // segment (each segment runs exactly once — that is the point).
@@ -608,14 +620,7 @@ void Explorer::RunGroupCheckpoint(const GroupPlan& group, const TestBody& body,
                       group.first_schedule + child_first,
                       &(*outcomes)[static_cast<size_t>(child_first)]);
           ++group_pruned;
-          pruned_.fetch_add(1, std::memory_order_relaxed);
-          if (v == LeafVerdict::kIdenticalPrune) {
-            ++group_dpor;
-            dpor_pruned_.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            ++group_splice;
-            drain_spliced_.fetch_add(1, std::memory_order_relaxed);
-          }
+          ++(v == LeafVerdict::kIdenticalPrune ? group_dpor : group_splice);
           continue;
         }
       }
@@ -631,7 +636,7 @@ void Explorer::RunGroupCheckpoint(const GroupPlan& group, const TestBody& body,
       recorder.ReseedSegment(child_seed);
       pause_level = 0;
       const auto seg_start = ProfileClock::now();
-      exec.Resume();
+      resume_exec();
       run_ns_.fetch_add(NsSince(seg_start), std::memory_order_relaxed);
       if (exec.finished()) {
         // Ran to completion: at leaf level that is the schedule itself (stride 1); at an inner
@@ -643,10 +648,7 @@ void Explorer::RunGroupCheckpoint(const GroupPlan& group, const TestBody& body,
                       group.first_schedule + child_first + j,
                       &(*outcomes)[static_cast<size_t>(child_first + j)]);
         }
-        if (cells > 1) {
-          group_pruned += cells - 1;
-          pruned_.fetch_add(cells - 1, std::memory_order_relaxed);
-        }
+        group_pruned += cells - 1;
         if (leaf_level && c == 0 && group.dpor) {
           witness_valid = WitnessEligible((*outcomes)[static_cast<size_t>(child_first)],
                                           recorder) &&
@@ -681,7 +683,6 @@ void Explorer::RunGroupCheckpoint(const GroupPlan& group, const TestBody& body,
                       &(*outcomes)[static_cast<size_t>(child_first + j)]);
         }
         group_pruned += cells;
-        pruned_.fetch_add(cells, std::memory_order_relaxed);
         continue;
       }
       seen_f.emplace_back(child.fingerprint, c);
@@ -690,30 +691,40 @@ void Explorer::RunGroupCheckpoint(const GroupPlan& group, const TestBody& body,
     }
   };
 
-  // Phase 1: execute the shared prefix up to the first boundary.
-  const auto prefix_start = ProfileClock::now();
-  exec.Resume();
-  run_ns_.fetch_add(NsSince(prefix_start), std::memory_order_relaxed);
-
+  // Phase 1: execute the shared prefix up to the first boundary, then branch.
   std::unique_ptr<NodeState> root;
-  if (exec.finished()) {
-    // The whole run consults fewer than depths[0] decisions: every member is the same schedule.
-    harvest();
-    fill_cell(0);
-    for (int m = 1; m < group.members; ++m) {
-      CopyOutcome((*outcomes)[0], group.first_schedule + m,
-                  &(*outcomes)[static_cast<size_t>(m)]);
-    }
-    if (group.members > 1) {
+  bool exception_in_flight = false;
+  try {
+    const auto prefix_start = ProfileClock::now();
+    resume_exec();
+    run_ns_.fetch_add(NsSince(prefix_start), std::memory_order_relaxed);
+    if (exec.finished()) {
+      // The whole run consults fewer than depths[0] decisions: every member is the same
+      // schedule.
+      harvest();
+      fill_cell(0);
+      for (int m = 1; m < group.members; ++m) {
+        CopyOutcome((*outcomes)[0], group.first_schedule + m,
+                    &(*outcomes)[static_cast<size_t>(m)]);
+      }
       group_pruned = group.members - 1;
-      pruned_.fetch_add(group_pruned, std::memory_order_relaxed);
+    } else {
+      // Paused at depths[0]. Snapshot the simulation plus the host-frame run state.
+      root = std::make_unique<NodeState>(
+          fold_node(TraceHasher{}, TraceAnalyzer(options_.detector), 0));
+      snapshot_node(root.get());
+      descend(1, 0, *root);
     }
-  } else {
-    // Paused at depths[0]. Snapshot the simulation plus the host-frame run state.
-    root = std::make_unique<NodeState>(
-        fold_node(TraceHasher{}, TraceAnalyzer(options_.detector), 0));
-    snapshot_node(root.get());
-    descend(1, 0, *root);
+  } catch (const ExceptionInFlight&) {
+    // Inner-node checkpoints died newest-first in the unwind. Finish the paused run without
+    // further pauses — shutting it down here would throw ThreadKilled out of the destructor
+    // that is mid-unwind — and let the caller recompute the group from zero.
+    exception_in_flight = true;
+    recorder.set_segment_hook(nullptr);
+    const auto drain_start = ProfileClock::now();
+    exec.Resume();
+    run_ns_.fetch_add(NsSince(drain_start), std::memory_order_relaxed);
+    harvest();
   }
 
   if (!exec.finished()) {
@@ -737,13 +748,19 @@ void Explorer::RunGroupCheckpoint(const GroupPlan& group, const TestBody& body,
   trace::MetricAdd(m_saves, group_saves);
   trace::MetricAdd(m_resumes, group_resumes);
   trace::MetricAdd(m_bytes, group_bytes);
-  trace::MetricAdd(m_pruned, group_pruned);
-  trace::MetricAdd(m_dpor, group_dpor);
-  trace::MetricAdd(m_splice, group_splice);
-
   if (arena != nullptr) {
     arena->trace_buffer = rt.tracer().TakeEventBuffer();
   }
+  if (exception_in_flight) {
+    return false;  // the outcomes and pruning counts come from the from-zero recompute
+  }
+  pruned_.fetch_add(group_pruned, std::memory_order_relaxed);
+  dpor_pruned_.fetch_add(group_dpor, std::memory_order_relaxed);
+  drain_spliced_.fetch_add(group_splice, std::memory_order_relaxed);
+  trace::MetricAdd(m_pruned, group_pruned);
+  trace::MetricAdd(m_dpor, group_dpor);
+  trace::MetricAdd(m_splice, group_splice);
+  return true;
 }
 
 bool Explorer::SameFailure(const ScheduleOutcome& a, const ScheduleOutcome& b) {
@@ -1056,9 +1073,8 @@ ExploreResult Explorer::Explore(const TestBody& body) {
   std::vector<std::vector<ScheduleOutcome>> group_outcomes(groups.size());
   const auto sweep_start = ProfileClock::now();
   pool.Run(groups.size(), [&](size_t worker, size_t g) {
-    if (use_checkpoint) {
-      RunGroupCheckpoint(groups[g], body, &group_outcomes[g], arenas[worker].get());
-    } else {
+    if (!use_checkpoint ||
+        !RunGroupCheckpoint(groups[g], body, &group_outcomes[g], arenas[worker].get())) {
       RunGroupReplay(groups[g], body, &group_outcomes[g], arenas[worker].get());
     }
   });

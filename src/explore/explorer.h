@@ -263,8 +263,10 @@ class Explorer {
                           std::vector<ConsultRecord>* consult_log = nullptr);
   // Group execution: checkpoint-and-branch (O(suffix) per schedule) or from-zero replay of the
   // same plans. Both fill `outcomes` (size group.members, flat order) with byte-identical
-  // results and identical pruned counts.
-  void RunGroupCheckpoint(const GroupPlan& group, const TestBody& body,
+  // results and identical pruned counts. RunGroupCheckpoint returns false when the run paused
+  // with an exception in flight (a fiber suspended mid-unwind, which no Checkpoint can
+  // capture); the caller then recomputes the group from zero, overwriting `outcomes`.
+  bool RunGroupCheckpoint(const GroupPlan& group, const TestBody& body,
                           std::vector<ScheduleOutcome>* outcomes, WorkerArena* arena);
   void RunGroupReplay(const GroupPlan& group, const TestBody& body,
                       std::vector<ScheduleOutcome>* outcomes, WorkerArena* arena);

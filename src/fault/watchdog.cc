@@ -7,7 +7,6 @@
 
 namespace fault {
 
-using pcr::BlockReason;
 using pcr::Tcb;
 using pcr::ThreadId;
 using pcr::ThreadState;
@@ -82,11 +81,6 @@ void Watchdog::ScanDeadlocks(pcr::Runtime& rt) {
   pcr::Scheduler& s = rt.scheduler();
   const int n = s.thread_count();
   for (ThreadId start = 1; start <= static_cast<ThreadId>(n); ++start) {
-    const Tcb* t = s.FindThread(start);
-    if (t == nullptr || t->state != ThreadState::kBlocked ||
-        t->block_reason != BlockReason::kMonitor) {
-      continue;
-    }
     // Follow blocked -> monitor -> owner edges until the chain leaves the blocked-on-monitor
     // world (no cycle through `start`) or revisits a member (cycle = that member onward).
     std::vector<ThreadId> chain;
@@ -100,12 +94,12 @@ void Watchdog::ScanDeadlocks(pcr::Runtime& rt) {
         break;
       }
       const Tcb* c = s.FindThread(cursor);
-      if (c == nullptr || c->state != ThreadState::kBlocked ||
-          c->block_reason != BlockReason::kMonitor) {
+      ThreadId owner = c == nullptr ? pcr::kNoThread : s.BlockedOnOwner(*c);
+      if (owner == pcr::kNoThread) {
         break;
       }
       chain.push_back(cursor);
-      cursor = s.MonitorOwnerOf(c->wait_object);
+      cursor = owner;
     }
     if (!cycle) {
       continue;

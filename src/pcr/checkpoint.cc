@@ -2,8 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
-#include <queue>
+#include <exception>
 #include <utility>
 
 #include "src/pcr/errors.h"
@@ -57,6 +56,19 @@ void RequireNewest(const Checkpoint* ckpt, const char* verb) {
   }
 }
 
+// A fiber can suspend mid-unwind (~MonitorGuard's Exit charges virtual time). The exception in
+// flight lives on the heap, and the C++ runtime counts it per OS thread; restoring stacks
+// rewinds neither. A snapshot taken in that window resurrects frames whose exception is gone;
+// a restore made in it leaves the count raised for good. Callers recompute from zero instead.
+void RequireNoExceptionInFlight(const char* verb) {
+  if (std::uncaught_exceptions() > 0) {
+    std::fprintf(stderr,
+                 "pcr: Checkpoint::%s with an exception in flight (%d uncaught on this thread)\n",
+                 verb, std::uncaught_exceptions());
+    std::abort();
+  }
+}
+
 }  // namespace
 
 bool Checkpoint::Supported() { return kCheckpointSupported; }
@@ -74,33 +86,13 @@ struct Checkpoint::State {
     std::vector<char> bytes;
   };
 
-  // Every mutable Tcb field (name/name_sym/stack_bytes/parent/forked_at never change after
-  // fork and are skipped). `entry` is saved only for threads not yet dispatched at snapshot
-  // time: a started thread's entry is being invoked in place on its (saved) fiber stack, so
-  // restore must leave the std::function object untouched.
+  // A thread's run state plus its fiber. `entry` is saved only for threads not yet started at
+  // snapshot time: a started thread's entry is being invoked in place on its (saved) fiber
+  // stack, so restore must leave the std::function object untouched.
   struct TcbImage {
-    int priority;
-    ThreadState state;
-    BlockReason block_reason;
+    TcbRunState run;
     bool has_entry = false;
     std::function<void()> entry;
-    Usec remaining;
-    uint64_t wait_epoch;
-    bool timer_fired;
-    const void* wait_object;
-    ThreadId notified_by;
-    ThreadId joiner;
-    bool detached;
-    bool joined;
-    bool finished;
-    bool started;
-    std::exception_ptr uncaught;
-    bool penalized;
-    bool boosted;
-    int inherited_priority;
-    int processor;
-    Usec cpu_time;
-    Usec ready_since;
     FiberImage fiber;
   };
 
@@ -114,43 +106,8 @@ struct Checkpoint::State {
   static void SaveFiber(const Fiber& fiber, FiberImage* image);
   static void RestoreFiber(Fiber& fiber, const FiberImage& image);
 
-  // Scheduler scalars.
-  std::mt19937_64 rng;
-  bool rng_seed_logged;
-  Usec now;
-  Usec next_tick_due;
-  ThreadId current_tid;
-  ObjectId next_object_id;
-  bool shutting_down;
-  bool in_run_loop;
-  uint32_t ready_mask;
-  int boosted_count;
-  int penalized_count;
-  int inherited_count;
-  int live_threads;
-  int64_t total_forks;
-  int64_t uncaught_exits;
-  int64_t zero_progress_ops;
-  size_t stack_bytes_reserved;
-  size_t peak_stack_bytes_reserved;
-  int64_t fiber_switches;
-  int64_t stack_acquires;
-  int64_t stack_pool_hits;
-  Usec wheel_base_tick;
-  size_t wheel_scan_hint;
-  size_t timer_count;
-
-  // Scheduler containers (all copy-assignable).
-  std::deque<ThreadId> ready[kNumPriorityLevels];
+  SchedulerRunState scheduler{0};
   std::vector<ThreadId> tied_scratch;
-  std::vector<ThreadId> running;
-  std::vector<ThreadId> last_running;
-  std::unordered_map<const void*, ThreadId> monitor_owner;
-  std::deque<std::vector<Scheduler::TimerEntry>> timer_wheel;
-  std::priority_queue<Scheduler::PendingInterrupt, std::vector<Scheduler::PendingInterrupt>,
-                      std::greater<Scheduler::PendingInterrupt>>
-      interrupts;
-  std::deque<WaitEntry> fork_waiters;
 
   // Threads and fibers.
   std::vector<TcbImage> tcbs;
@@ -214,72 +171,21 @@ Checkpoint::Checkpoint(Scheduler& scheduler, trace::Tracer& tracer, Fiber* exec_
     throw UsageError("pcr: Checkpoint is unsupported in this build (ucontext or sanitizers); "
                      "use from-zero replay");
   }
+  RequireNoExceptionInFlight("Checkpoint");
   State& s = *state_;
 
-  s.rng = scheduler_.rng_;
-  s.rng_seed_logged = scheduler_.rng_seed_logged_;
-  s.now = scheduler_.now_;
-  s.next_tick_due = scheduler_.next_tick_due_;
-  s.current_tid = scheduler_.current_tid_;
-  s.next_object_id = scheduler_.next_object_id_;
-  s.shutting_down = scheduler_.shutting_down_;
-  s.in_run_loop = scheduler_.in_run_loop_;
-  s.ready_mask = scheduler_.ready_mask_;
-  s.boosted_count = scheduler_.boosted_count_;
-  s.penalized_count = scheduler_.penalized_count_;
-  s.inherited_count = scheduler_.inherited_count_;
-  s.live_threads = scheduler_.live_threads_;
-  s.total_forks = scheduler_.total_forks_;
-  s.uncaught_exits = scheduler_.uncaught_exits_;
-  s.zero_progress_ops = scheduler_.zero_progress_ops_;
-  s.stack_bytes_reserved = scheduler_.stack_bytes_reserved_;
-  s.peak_stack_bytes_reserved = scheduler_.peak_stack_bytes_reserved_;
-  s.fiber_switches = scheduler_.fiber_switches_;
-  s.stack_acquires = scheduler_.stack_acquires_;
-  s.stack_pool_hits = scheduler_.stack_pool_hits_;
-  s.wheel_base_tick = scheduler_.wheel_base_tick_;
-  s.wheel_scan_hint = scheduler_.wheel_scan_hint_;
-  s.timer_count = scheduler_.timer_count_;
-
-  for (int p = 0; p < kNumPriorityLevels; ++p) {
-    s.ready[p] = scheduler_.ready_[p];
-  }
+  s.scheduler = scheduler_;
   s.tied_scratch = scheduler_.tied_scratch_;
-  s.running = scheduler_.running_;
-  s.last_running = scheduler_.last_running_;
-  s.monitor_owner = scheduler_.monitor_owner_;
-  s.timer_wheel = scheduler_.timer_wheel_;
-  s.interrupts = scheduler_.interrupts_;
-  s.fork_waiters = scheduler_.fork_waiters_;
 
   s.tcbs.reserve(scheduler_.tcbs_.size());
   for (const auto& owned : scheduler_.tcbs_) {
     const Tcb& t = *owned;
     State::TcbImage image;
-    image.priority = t.priority;
-    image.state = t.state;
-    image.block_reason = t.block_reason;
+    image.run = t;
     if (!t.started) {
       image.has_entry = true;
       image.entry = t.entry;
     }
-    image.remaining = t.remaining;
-    image.wait_epoch = t.wait_epoch;
-    image.timer_fired = t.timer_fired;
-    image.wait_object = t.wait_object;
-    image.notified_by = t.notified_by;
-    image.joiner = t.joiner;
-    image.detached = t.detached;
-    image.joined = t.joined;
-    image.finished = t.finished;
-    image.started = t.started;
-    image.uncaught = t.uncaught;
-    image.penalized = t.penalized;
-    image.boosted = t.boosted;
-    image.inherited_priority = t.inherited_priority;
-    image.processor = t.processor;
-    image.cpu_time = t.cpu_time;
-    image.ready_since = t.ready_since;
     if (t.fiber) {
       scheduler_.PinFiber(t.id);
       s.pinned.push_back(t.id);
@@ -326,6 +232,7 @@ Checkpoint::~Checkpoint() {
 
 void Checkpoint::Restore() {
   RequireNewest(this, "Restore");
+  RequireNoExceptionInFlight("Restore");
   State& s = *state_;
 
   // 1. Tear down every checkpointable currently alive. Objects also present in the snapshot
@@ -362,71 +269,18 @@ void Checkpoint::Restore() {
     State::RestoreFiber(*exec_fiber_, s.exec);
   }
 
-  // 3. Scheduler fields (now that stacks hold snapshot-time frames again).
-  scheduler_.rng_ = s.rng;
-  scheduler_.rng_seed_logged_ = s.rng_seed_logged;
-  scheduler_.now_ = s.now;
-  scheduler_.next_tick_due_ = s.next_tick_due;
-  scheduler_.current_tid_ = s.current_tid;
-  scheduler_.next_object_id_ = s.next_object_id;
-  scheduler_.shutting_down_ = s.shutting_down;
-  scheduler_.in_run_loop_ = s.in_run_loop;
-  scheduler_.ready_mask_ = s.ready_mask;
-  scheduler_.boosted_count_ = s.boosted_count;
-  scheduler_.penalized_count_ = s.penalized_count;
-  scheduler_.inherited_count_ = s.inherited_count;
-  scheduler_.live_threads_ = s.live_threads;
-  scheduler_.total_forks_ = s.total_forks;
-  scheduler_.uncaught_exits_ = s.uncaught_exits;
-  scheduler_.zero_progress_ops_ = s.zero_progress_ops;
-  scheduler_.stack_bytes_reserved_ = s.stack_bytes_reserved;
-  scheduler_.peak_stack_bytes_reserved_ = s.peak_stack_bytes_reserved;
-  scheduler_.fiber_switches_ = s.fiber_switches;
-  scheduler_.stack_acquires_ = s.stack_acquires;
-  scheduler_.stack_pool_hits_ = s.stack_pool_hits;
-  scheduler_.wheel_base_tick_ = s.wheel_base_tick;
-  scheduler_.wheel_scan_hint_ = s.wheel_scan_hint;
-  scheduler_.timer_count_ = s.timer_count;
-
-  for (int p = 0; p < kNumPriorityLevels; ++p) {
-    scheduler_.ready_[p] = s.ready[p];
-  }
+  // 3. Scheduler and thread run state (now that stacks hold snapshot-time frames again).
+  static_cast<SchedulerRunState&>(scheduler_) = s.scheduler;
   // assign() within the capacity the constructor reserved: a reallocation here would move the
   // array out from under any suspended SelectReady frame holding .data().
   scheduler_.tied_scratch_.assign(s.tied_scratch.begin(), s.tied_scratch.end());
-  scheduler_.running_ = s.running;
-  scheduler_.last_running_ = s.last_running;
-  scheduler_.monitor_owner_ = s.monitor_owner;
-  scheduler_.timer_wheel_ = s.timer_wheel;
-  scheduler_.interrupts_ = s.interrupts;
-  scheduler_.fork_waiters_ = s.fork_waiters;
-
   for (size_t i = 0; i < s.tcbs.size(); ++i) {
     Tcb& t = *scheduler_.tcbs_[i];
     const State::TcbImage& image = s.tcbs[i];
-    t.priority = image.priority;
-    t.state = image.state;
-    t.block_reason = image.block_reason;
+    static_cast<TcbRunState&>(t) = image.run;
     if (image.has_entry) {
       t.entry = image.entry;
     }
-    t.remaining = image.remaining;
-    t.wait_epoch = image.wait_epoch;
-    t.timer_fired = image.timer_fired;
-    t.wait_object = image.wait_object;
-    t.notified_by = image.notified_by;
-    t.joiner = image.joiner;
-    t.detached = image.detached;
-    t.joined = image.joined;
-    t.finished = image.finished;
-    t.started = image.started;
-    t.uncaught = image.uncaught;
-    t.penalized = image.penalized;
-    t.boosted = image.boosted;
-    t.inherited_priority = image.inherited_priority;
-    t.processor = image.processor;
-    t.cpu_time = image.cpu_time;
-    t.ready_since = image.ready_since;
   }
 
   // 4. Tracer: roll the event buffer and symbol table back to the snapshot point. Events only

@@ -44,7 +44,7 @@ bool Condition::Wait() {
   me->notified_by = kNoThread;
   const Usec wait_began = s.now();
   s.Emit(trace::EventType::kCvWait, id_, 0, name_sym_);
-  s.Charge(s.config().costs.cv_wait);
+  s.Compute(s.config().costs.cv_wait);
   s.EnqueueCurrentWaiter(waiters_);
   // "The WAIT operation atomically releases the monitor lock and adds its calling thread to the
   // CV's wait queue" (Section 2).
@@ -125,7 +125,7 @@ void Condition::Notify() {
     }
   }
   s.Emit(trace::EventType::kCvNotify, id_, woke ? 1 : 0, name_sym_);
-  s.Charge(s.config().costs.cv_notify);
+  s.Compute(s.config().costs.cv_notify);
   // Exploration point: notify-then-preempt is the schedule behind Section 6.1's spurious lock
   // conflicts when rescheduling is not deferred.
   s.MaybeForcePreempt(PreemptPoint::kNotify);
@@ -148,7 +148,7 @@ void Condition::Broadcast() {
     ++woken;
   }
   s.Emit(trace::EventType::kCvBroadcast, id_, woken, name_sym_);
-  s.Charge(s.config().costs.cv_notify);
+  s.Compute(s.config().costs.cv_notify);
   s.MaybeForcePreempt(PreemptPoint::kNotify);
 }
 

@@ -30,7 +30,7 @@ uint64_t InterruptSource::Await() {
   }
   uint64_t payload = queue_.front();
   queue_.pop_front();
-  scheduler_.Charge(scheduler_.config().costs.interrupt_dispatch);
+  scheduler_.Compute(scheduler_.config().costs.interrupt_dispatch);
   return payload;
 }
 
@@ -45,7 +45,7 @@ bool InterruptSource::AwaitFor(Usec timeout, uint64_t* payload) {
   }
   *payload = queue_.front();
   queue_.pop_front();
-  scheduler_.Charge(scheduler_.config().costs.interrupt_dispatch);
+  scheduler_.Compute(scheduler_.config().costs.interrupt_dispatch);
   return true;
 }
 

@@ -28,7 +28,32 @@ void MonitorLock::RegisterContentionMetrics() {
 
 MonitorLock::~MonitorLock() {
   scheduler_.UnregisterCheckpointable(this);
-  scheduler_.SetMonitorOwner(this, kNoThread);
+  // A lock destroyed while held leaves its owner's held list. The owner can be gone: a
+  // checkpoint restore drops threads forked after the snapshot.
+  if (owner_ != kNoThread && scheduler_.FindThread(owner_) != nullptr) {
+    SetOwner(kNoThread);
+  }
+}
+
+void MonitorLock::SetOwner(ThreadId tid) {
+  if (owner_ != kNoThread) {
+    // Usually the head: monitors are mostly released in reverse order of entry. Absent only
+    // for a lock created after a checkpoint that a restore rewound the owner past.
+    MonitorLock** link = &scheduler_.GetTcb(owner_).held_monitors;
+    while (*link != nullptr && *link != this) {
+      link = &(*link)->next_held_;
+    }
+    if (*link == this) {
+      *link = next_held_;
+    }
+    next_held_ = nullptr;
+  }
+  owner_ = tid;
+  if (tid != kNoThread) {
+    Tcb& t = scheduler_.GetTcb(tid);
+    next_held_ = t.held_monitors;
+    t.held_monitors = this;
+  }
 }
 
 void MonitorLock::CheckpointSave(CheckpointedObjectState* state) const {
@@ -58,7 +83,7 @@ bool MonitorLock::HeldByCurrent() const {
 
 void MonitorLock::Enter() {
   scheduler_.Emit(trace::EventType::kMlEnter, id_, 0, name_sym_);
-  scheduler_.Charge(scheduler_.config().costs.monitor_enter);
+  scheduler_.Compute(scheduler_.config().costs.monitor_enter);
   AcquireSlowPath(/*count_spurious=*/false, kNoThread);
   // Exploration point: being preempted right after acquiring (still holding the lock) is legal
   // under Section 2's model and is where lock-holder-preempted schedules come from.
@@ -67,7 +92,7 @@ void MonitorLock::Enter() {
 
 void MonitorLock::ReacquireAfterWait(ThreadId notifier) {
   scheduler_.Emit(trace::EventType::kMlEnter, id_, 0, name_sym_);
-  scheduler_.Charge(scheduler_.config().costs.monitor_enter);
+  scheduler_.Compute(scheduler_.config().costs.monitor_enter);
   AcquireSlowPath(/*count_spurious=*/true, notifier);
 }
 
@@ -105,9 +130,8 @@ void MonitorLock::AcquireSlowPath(bool count_spurious, ThreadId notifier) {
     scheduler_.BlockCurrent(BlockReason::kMonitor, this, -1);
     ThrowIfPoisoned();  // the wakeup may be Poison() flushing the entry queue
   }
-  owner_ = me;
+  SetOwner(me);
   acquired_at_ = scheduler_.now();
-  scheduler_.SetMonitorOwner(this, me);
 }
 
 bool MonitorLock::TryEnter() {
@@ -120,14 +144,13 @@ bool MonitorLock::TryEnter() {
     return false;
   }
   scheduler_.Emit(trace::EventType::kMlEnter, id_, 0, name_sym_);
-  scheduler_.Charge(scheduler_.config().costs.monitor_enter);
+  scheduler_.Compute(scheduler_.config().costs.monitor_enter);
   // The charge is a preemption point; someone may have taken the lock meanwhile.
   if (owner_ != kNoThread) {
     return false;
   }
-  owner_ = me;
+  SetOwner(me);
   acquired_at_ = scheduler_.now();
-  scheduler_.SetMonitorOwner(this, me);
   return true;
 }
 
@@ -137,7 +160,7 @@ void MonitorLock::Exit() {
   }
   scheduler_.Emit(trace::EventType::kMlExit, id_, 0, name_sym_);
   ReleaseInternal();
-  scheduler_.Charge(scheduler_.config().costs.monitor_exit);
+  scheduler_.Compute(scheduler_.config().costs.monitor_exit);
   // Exploration point: the barging window — woken waiters compete for the lock from here.
   scheduler_.MaybeForcePreempt(PreemptPoint::kMonitorExit);
 }
@@ -156,8 +179,7 @@ void MonitorLock::ReleaseInternal() {
     trace::MetricRecord(m_all_hold_us_, held);
   }
   scheduler_.ClearInheritedPriority(owner_);  // the donation ends with the critical section
-  owner_ = kNoThread;
-  scheduler_.SetMonitorOwner(this, kNoThread);
+  SetOwner(kNoThread);
   // Flush wakeups deferred by NOTIFY under Config::defer_notify_reschedule: "defer processor
   // rescheduling, but not the notification itself, until after monitor exit" (Section 6.1).
   if (!deferred_wakeups_.empty()) {
@@ -189,8 +211,7 @@ void MonitorLock::Poison() {
   poisoned_ = true;
   scheduler_.Emit(trace::EventType::kMonitorPoisoned, id_, owner_, name_sym_);
   scheduler_.ClearInheritedPriority(owner_);
-  owner_ = kNoThread;
-  scheduler_.SetMonitorOwner(this, kNoThread);
+  SetOwner(kNoThread);
   // Wake every deferred wakeup and queued entrant: each retries the acquire in its own
   // context, observes the poison, and gets MonitorPoisoned instead of blocking forever.
   if (!deferred_wakeups_.empty()) {
@@ -207,11 +228,10 @@ void MonitorLock::Poison() {
 }
 
 void MonitorLock::ForceAcquireForUnwind() {
-  owner_ = scheduler_.current();
+  SetOwner(scheduler_.current());
   // Outside shutdown (e.g. an injected thread death unwinding out of WAIT) the eventual Exit
   // records a hold time; stamp the acquisition so it isn't measured from a stale timestamp.
   acquired_at_ = scheduler_.now();
-  scheduler_.SetMonitorOwner(this, owner_);
 }
 
 }  // namespace pcr

@@ -47,6 +47,8 @@ class MonitorLock : public Checkpointable {
 
   ThreadId owner() const { return owner_; }
   bool HeldByCurrent() const;
+  // The next monitor in the owner's held list (Tcb::held_monitors), acquired before this one.
+  MonitorLock* next_held() const { return next_held_; }
 
   // Marks the monitor abandoned: the owner died (uncaught exception) without releasing it.
   // Every queued and future entrant gets MonitorPoisoned instead of blocking forever on a lock
@@ -71,8 +73,9 @@ class MonitorLock : public Checkpointable {
   Scheduler& scheduler() { return scheduler_; }
 
   // Checkpointable: heap-owning members are name_, entry_waiters_, deferred_wakeups_; every
-  // scalar (owner, poison, metric handles — registry nodes are address-stable) rides the raw
-  // byte image. See checkpoint.h for the teardown/memcpy/placement-new protocol.
+  // scalar (owner and held-list link, poison, metric handles — registry nodes are
+  // address-stable) rides the raw byte image. See checkpoint.h for the
+  // teardown/memcpy/placement-new protocol.
   void CheckpointSave(CheckpointedObjectState* state) const override;
   void CheckpointTeardown() override;
   void CheckpointRestore(const CheckpointedObjectState& state) override;
@@ -83,6 +86,9 @@ class MonitorLock : public Checkpointable {
   void AcquireSlowPath(bool count_spurious, ThreadId notifier);
   void ReleaseInternal();
   void ThrowIfPoisoned() const;
+  // The only writer of owner_: moves this lock from the old owner's held list to the head of
+  // the new owner's (kNoThread: no list).
+  void SetOwner(ThreadId tid);
 
   Scheduler& scheduler_;
   std::string name_;
@@ -91,6 +97,7 @@ class MonitorLock : public Checkpointable {
   void RegisterContentionMetrics();
 
   ThreadId owner_ = kNoThread;
+  MonitorLock* next_held_ = nullptr;  // owner_'s held list, toward older acquisitions
   bool poisoned_ = false;
   Usec acquired_at_ = 0;  // when owner_ last took the lock (for the hold-time histogram)
   // Metric handles (nullptr with metrics off). The process-wide rollups are registered at

@@ -56,7 +56,7 @@ std::string_view ForkErrorName(ForkError error) {
 }
 
 Scheduler::Scheduler(const Config& config, trace::Tracer* tracer)
-    : config_(config), tracer_(tracer), rng_(config.seed) {
+    : SchedulerRunState(config.seed), config_(config), tracer_(tracer) {
   config_.processors = std::max(1, config_.processors);
   config_.quantum = std::max<Usec>(1, config_.quantum);
   running_.assign(static_cast<size_t>(config_.processors), kNoThread);
@@ -286,7 +286,7 @@ ForkResult Scheduler::TryFork(std::function<void()> body, ForkOptions options) {
   trace::MetricAdd(m_forks_);
   Emit(trace::EventType::kThreadFork, id, static_cast<uint64_t>(ClampPriority(options.priority)),
        GetTcb(id).name_sym);
-  Charge(config_.costs.fork);  // preemption point: a higher-priority child starts promptly
+  Compute(config_.costs.fork);  // preemption point: a higher-priority child starts promptly
   result.tid = id;
   return result;
 }
@@ -307,7 +307,7 @@ void Scheduler::Join(ThreadId tid) {
     // "A thread may be JOINed at most once" (Section 2).
     throw UsageError("pcr: thread " + target.name + " already joined");
   }
-  Charge(config_.costs.join);
+  Compute(config_.costs.join);
   while (!target.finished) {
     if (target.joiner != kNoThread && target.joiner != me->id) {
       throw UsageError("pcr: two threads joining " + target.name);
@@ -356,8 +356,6 @@ void Scheduler::Compute(Usec duration) {
   }
 }
 
-void Scheduler::Charge(Usec cost) { Compute(cost); }
-
 void Scheduler::Yield() {
   Tcb* me = CurrentTcb();
   if (me == nullptr) {
@@ -367,7 +365,7 @@ void Scheduler::Yield() {
     throw ThreadKilled();
   }
   Emit(trace::EventType::kYield);
-  Charge(config_.costs.yield);
+  Compute(config_.costs.yield);
   me->state = ThreadState::kReady;
   SetBoosted(*me, false);
   PushReady(*me);
@@ -388,7 +386,7 @@ void Scheduler::YieldButNotToMe() {
     throw ThreadKilled();
   }
   Emit(trace::EventType::kYieldButNotToMe);
-  Charge(config_.costs.yield);
+  Compute(config_.costs.yield);
   // "gives the processor to the highest priority ready thread other than its caller, if such a
   // thread exists" (Section 5.2); the penalty lasts until the end of the timeslice (Section 6.3).
   SetPenalized(*me, true);
@@ -412,7 +410,7 @@ void Scheduler::DirectedYield(ThreadId target) {
     throw ThreadKilled();
   }
   Emit(trace::EventType::kDirectedYield, target, 0, GetTcb(target).name_sym);
-  Charge(config_.costs.yield);
+  Compute(config_.costs.yield);
   Tcb& donee = GetTcb(target);
   if (donee.state == ThreadState::kReady) {
     SetBoosted(donee, true);  // wins selection regardless of priority, until the next tick
@@ -446,7 +444,7 @@ void Scheduler::SetPriority(int priority) {
   }
   me->priority = ClampPriority(priority);
   Emit(trace::EventType::kSetPriority, 0, static_cast<uint64_t>(me->priority));
-  Charge(1);  // preemption point so a self-demotion takes effect immediately
+  Compute(1);  // preemption point so a self-demotion takes effect immediately
 }
 
 int Scheduler::priority() const {
@@ -541,17 +539,11 @@ void Scheduler::EnqueueCurrentWaiter(std::deque<WaitEntry>& queue) {
   queue.push_back(WaitEntry{me->id, me->wait_epoch});
 }
 
-void Scheduler::SetMonitorOwner(const void* monitor, ThreadId owner) {
-  if (owner == kNoThread) {
-    monitor_owner_.erase(monitor);
-  } else {
-    monitor_owner_[monitor] = owner;
+ThreadId Scheduler::BlockedOnOwner(const Tcb& t) const {
+  if (t.state != ThreadState::kBlocked || t.block_reason != BlockReason::kMonitor) {
+    return kNoThread;
   }
-}
-
-ThreadId Scheduler::MonitorOwnerOf(const void* monitor) const {
-  auto it = monitor_owner_.find(monitor);
-  return it == monitor_owner_.end() ? kNoThread : it->second;
+  return static_cast<const MonitorLock*>(t.wait_object)->owner();
 }
 
 uint64_t Scheduler::ConsultFault(FaultSite site) {
@@ -573,18 +565,10 @@ bool Scheduler::WouldDeadlock(ThreadId owner) const {
     if (cursor == current_tid_) {
       return true;
     }
-    if (cursor == kNoThread || cursor > tcbs_.size()) {
+    if (cursor > tcbs_.size()) {
       return false;
     }
-    const Tcb& t = *tcbs_[cursor - 1];
-    if (t.state != ThreadState::kBlocked || t.block_reason != BlockReason::kMonitor) {
-      return false;
-    }
-    auto it = monitor_owner_.find(t.wait_object);
-    if (it == monitor_owner_.end()) {
-      return false;
-    }
-    cursor = it->second;
+    cursor = BlockedOnOwner(*tcbs_[cursor - 1]);
   }
   return false;
 }
@@ -888,14 +872,7 @@ void Scheduler::DonatePriority(ThreadId owner) {
       break;  // holder already outranks the donation
     }
     SetInheritedPriority(holder, std::max(holder.inherited_priority, donation));
-    if (holder.state != ThreadState::kBlocked || holder.block_reason != BlockReason::kMonitor) {
-      break;
-    }
-    auto it = monitor_owner_.find(holder.wait_object);
-    if (it == monitor_owner_.end()) {
-      break;
-    }
-    cursor = it->second;
+    cursor = BlockedOnOwner(holder);
   }
 }
 
@@ -1085,17 +1062,13 @@ void Scheduler::ExitCurrent() {
     ++uncaught_exits_;
     // Monitor abandonment: a thread that dies holding locks would leave every later entrant
     // blocked forever on a mutex nobody can release (the wedge of Section 5.4). Poison the
-    // abandoned monitors instead so waiters get a diagnosable MonitorPoisoned error. Collect
-    // first: Poison erases the ownership entries we are iterating toward.
-    std::vector<MonitorLock*> abandoned;
-    for (const auto& [monitor, owner] : monitor_owner_) {
-      if (owner == me.id) {
-        // Every monitor_owner_ key is the registering MonitorLock's `this` (monitor.cc), so
-        // the cast recovers the lock object.
-        abandoned.push_back(static_cast<MonitorLock*>(const_cast<void*>(monitor)));
-      }
-    }
-    for (MonitorLock* lock : abandoned) {
+    // abandoned monitors instead so waiters get a diagnosable MonitorPoisoned error — most
+    // recently acquired first, the order of the held list. Poison unlinks the lock, so the
+    // successor is read first.
+    const bool abandoned = me.held_monitors != nullptr;
+    MonitorLock* next = me.held_monitors;
+    while (MonitorLock* lock = next) {
+      next = lock->next_held();
       lock->Poison();
       trace::MetricAdd(m_monitors_poisoned_);
     }
@@ -1109,8 +1082,8 @@ void Scheduler::ExitCurrent() {
         std::abort();
       }
     }
-    FlightDump(abandoned.empty() ? "uncaught fiber exception"
-                                 : "uncaught fiber exception; monitors poisoned");
+    FlightDump(abandoned ? "uncaught fiber exception; monitors poisoned"
+                         : "uncaught fiber exception");
   }
   if (!shutting_down_) {
     --live_threads_;

@@ -43,6 +43,7 @@ namespace pcr {
 class Checkpoint;
 class Checkpointable;
 class InterruptSource;
+class MonitorLock;
 
 enum class ThreadState : uint8_t { kReady, kRunning, kBlocked, kDone };
 
@@ -98,23 +99,20 @@ struct WaitEntry {
   uint64_t epoch = 0;
 };
 
-// Thread control block. Owned by the scheduler; stable address for a thread's lifetime.
-struct Tcb {
-  ThreadId id = kNoThread;
-  std::string name;
-  uint32_t name_sym = 0;  // `name` interned in the tracer's SymbolTable (0 when not tracing)
+// The part of a thread control block that a Checkpoint rewinds, declared once: a Tcb field is
+// checkpointed if and only if it lives here (save and restore are one assignment each). The
+// one special case is Tcb::entry, restored only for threads that had not started.
+struct TcbRunState {
   int priority = kDefaultPriority;
   ThreadState state = ThreadState::kReady;
   BlockReason block_reason = BlockReason::kNone;
 
-  std::function<void()> entry;     // user body; consumed at first dispatch
-  std::unique_ptr<Fiber> fiber;    // created lazily at first dispatch
-  size_t stack_bytes = 0;          // 0: Config::stack_bytes
-
   Usec remaining = 0;              // pending virtual compute while ready/running
   uint64_t wait_epoch = 0;         // bumped on every wakeup; validates WaitEntry/timers
   bool timer_fired = false;        // last wakeup came from a timeout
-  const void* wait_object = nullptr;  // monitor/CV/etc. blocked on (diagnostics, deadlock walk)
+  // Object blocked on, for diagnostics and the deadlock walk; for BlockReason::kMonitor it is
+  // always the MonitorLock (see Scheduler::BlockedOnOwner).
+  const void* wait_object = nullptr;
   ThreadId notified_by = kNoThread;   // who last notified us (spurious-conflict attribution)
 
   ThreadId joiner = kNoThread;
@@ -129,12 +127,30 @@ struct Tcb {
   int inherited_priority = 0;      // donated by blocked higher-priority waiters (optional)
   int processor = -1;              // processor index while running
 
-  ThreadId parent = kNoThread;
-  Usec forked_at = 0;
   Usec cpu_time = 0;
   Usec ready_since = -1;  // when the thread last became ready; -1 while running/blocked/done.
                           // The watchdog's starvation scan reads this: ready_since frozen for
                           // many quanta = runnable but never dispatched (stable inversion).
+
+  // Monitors this thread owns, most recently acquired first, linked through
+  // MonitorLock::next_held_. The lock's owner_ is the one record of ownership; this list only
+  // lets a dying thread find (and poison) what it abandoned without a global table.
+  MonitorLock* held_monitors = nullptr;
+};
+
+// Thread control block. Owned by the scheduler; stable address for a thread's lifetime. The
+// fields below never change after fork (or, for entry and fiber, are checkpointed specially).
+struct Tcb : TcbRunState {
+  ThreadId id = kNoThread;
+  std::string name;
+  uint32_t name_sym = 0;  // `name` interned in the tracer's SymbolTable (0 when not tracing)
+
+  std::function<void()> entry;     // user body; consumed at first dispatch
+  std::unique_ptr<Fiber> fiber;    // created lazily at first dispatch
+  size_t stack_bytes = 0;          // 0: Config::stack_bytes
+
+  ThreadId parent = kNoThread;
+  Usec forked_at = 0;
 };
 
 // Why a Run* call returned.
@@ -148,7 +164,68 @@ struct QuiescentInfo {
   std::vector<ThreadId> blocked_threads;  // threads stuck with no wakeup source (lost notify?)
 };
 
-class Scheduler {
+// The part of a Scheduler that a Checkpoint rewinds, declared once: a Scheduler field is
+// checkpointed if and only if it lives here (save and restore are one assignment each). The
+// one special case is Scheduler::tied_scratch_, refilled in place on restore (see
+// checkpoint.cc). A private base of Scheduler, so its members read as the scheduler's own.
+struct SchedulerRunState {
+  struct TimerEntry {
+    Usec deadline;
+    ThreadId tid;
+    uint64_t epoch;
+  };
+
+  struct PendingInterrupt {
+    Usec time;
+    InterruptSource* source;
+    uint64_t payload;
+    bool operator>(const PendingInterrupt& other) const { return time > other.time; }
+  };
+
+  explicit SchedulerRunState(uint64_t seed) : rng_(seed) {}
+
+  std::mt19937_64 rng_;
+  bool rng_seed_logged_ = false;
+
+  Usec now_ = 0;
+  Usec next_tick_due_ = 0;  // first unprocessed quantum tick; 0 = initialize on first run
+  ThreadId current_tid_ = kNoThread;
+  ObjectId next_object_id_ = 0;
+  bool shutting_down_ = false;
+  bool in_run_loop_ = false;
+
+  std::deque<ThreadId> ready_[kNumPriorityLevels];
+  uint32_t ready_mask_ = 0;   // bit p set iff ready_[p] is non-empty
+  int boosted_count_ = 0;     // threads with the boosted flag set
+  int penalized_count_ = 0;   // threads with the penalized flag set
+  int inherited_count_ = 0;   // threads with inherited_priority > 0
+  std::vector<ThreadId> running_;       // per processor; kNoThread = idle
+  std::vector<ThreadId> last_running_;  // per processor; for switch-event dedup
+
+  // Timer wheel: timer_wheel_[i] holds entries due at tick (wheel_base_tick_ + i) on the
+  // quantum grid. timer_count_ counts live (possibly stale) entries across all buckets.
+  std::deque<std::vector<TimerEntry>> timer_wheel_;
+  Usec wheel_base_tick_ = 0;
+  size_t wheel_scan_hint_ = 0;  // buckets below this index are known empty
+  size_t timer_count_ = 0;
+
+  std::priority_queue<PendingInterrupt, std::vector<PendingInterrupt>,
+                      std::greater<PendingInterrupt>>
+      interrupts_;
+
+  std::deque<WaitEntry> fork_waiters_;  // threads blocked in Fork waiting for resources
+  int live_threads_ = 0;
+  int64_t total_forks_ = 0;
+  int64_t uncaught_exits_ = 0;
+  int64_t zero_progress_ops_ = 0;       // livelock guard: ops executed since time last advanced
+  size_t stack_bytes_reserved_ = 0;
+  size_t peak_stack_bytes_reserved_ = 0;
+  int64_t fiber_switches_ = 0;
+  int64_t stack_acquires_ = 0;
+  int64_t stack_pool_hits_ = 0;
+};
+
+class Scheduler : private SchedulerRunState {
  public:
   Scheduler(const Config& config, trace::Tracer* tracer);
   ~Scheduler();
@@ -217,6 +294,9 @@ class Scheduler {
   ForkResult TryFork(std::function<void()> body, ForkOptions options = {});
   void Join(ThreadId tid);
   void Detach(ThreadId tid);
+  // Charges virtual time to the current thread: explicit work and every cost-model charge
+  // (monitor entry, fork, yield, ...). A preemption point. No-op from the host context, during
+  // shutdown, or when duration <= 0.
   void Compute(Usec duration);
   void Yield();
   void YieldButNotToMe();
@@ -261,9 +341,6 @@ class Scheduler {
   // Appends the current thread to `queue` with its current epoch.
   void EnqueueCurrentWaiter(std::deque<WaitEntry>& queue);
 
-  // Charges virtual time to the current thread (no-op from the host context or when cost == 0).
-  void Charge(Usec cost);
-
   void Emit(trace::EventType type, ObjectId object = 0, uint64_t arg = 0,
             uint32_t object_sym = 0);
 
@@ -288,21 +365,19 @@ class Scheduler {
   }
   Tcb* CurrentTcb();
 
-  // Monitors report ownership changes here so the deadlock walk can follow blocked->owner
-  // chains. Passing kNoThread erases the entry.
-  void SetMonitorOwner(const void* monitor, ThreadId owner);
-
-  // Owner of `monitor` per SetMonitorOwner, or kNoThread. The watchdog's wait-for-graph walk
-  // uses this to follow a blocked thread's wait_object to the thread it waits on.
-  ThreadId MonitorOwnerOf(const void* monitor) const;
+  // The thread `t` waits on: the owner of the monitor it is blocked entering, or kNoThread
+  // when it is not blocked on a monitor (or the monitor is free). One step of every
+  // blocked->owner walk: WouldDeadlock, DonatePriority and the watchdog's wait-for graph.
+  ThreadId BlockedOnOwner(const Tcb& t) const;
 
   // Total threads ever created (valid tids are 1..thread_count()); watchdog scan range.
   int thread_count() const { return static_cast<int>(tcbs_.size()); }
 
   // With Config::priority_inheritance: donates the current thread's effective priority down the
   // owner chain starting at `owner` (called when blocking on a monitor). The inheritance is
-  // cleared when a holder releases any monitor — an approximation (no per-thread holdings
-  // ledger) that is exact for the single-lock critical sections the paradigms use.
+  // cleared when a holder releases any monitor — an approximation: the donation is not
+  // recomputed from the waiters of the monitors it still holds (Tcb::held_monitors), which is
+  // exact for the single-lock critical sections the paradigms use.
   void DonatePriority(ThreadId owner);
   void ClearInheritedPriority(ThreadId tid);
 
@@ -370,18 +445,6 @@ class Scheduler {
  private:
   friend class Checkpoint;
   [[noreturn]] void ThrowUnknownThread(ThreadId tid) const;
-  struct TimerEntry {
-    Usec deadline;
-    ThreadId tid;
-    uint64_t epoch;
-  };
-
-  struct PendingInterrupt {
-    Usec time;
-    InterruptSource* source;
-    uint64_t payload;
-    bool operator>(const PendingInterrupt& other) const { return time > other.time; }
-  };
 
   // Dispatch + execution until every processor is idle or mid-compute.
   void Settle();
@@ -455,55 +518,17 @@ class Scheduler {
   trace::Counter* m_faults_injected_ = nullptr;
   trace::Counter* m_fork_failures_ = nullptr;
   trace::Counter* m_monitors_poisoned_ = nullptr;
-  std::mt19937_64 rng_;
-  bool rng_seed_logged_ = false;
   SchedulePerturber* perturber_ = nullptr;
   FaultInjector* fault_injector_ = nullptr;
-
-  Usec now_ = 0;
-  Usec next_tick_due_ = 0;  // first unprocessed quantum tick; 0 = initialize on first run
-  ThreadId current_tid_ = kNoThread;
-  ObjectId next_object_id_ = 0;
-  bool shutting_down_ = false;
-  bool in_run_loop_ = false;
   // Folds the constant Emit preconditions (tracer present, tracing configured) into one flag
   // so the per-event guard is two flag loads instead of a pointer chase.
   bool trace_active_ = false;
 
   std::vector<std::unique_ptr<Tcb>> tcbs_;  // index = tid - 1
-  std::deque<ThreadId> ready_[kNumPriorityLevels];
-  uint32_t ready_mask_ = 0;   // bit p set iff ready_[p] is non-empty
-  int boosted_count_ = 0;     // threads with the boosted flag set
-  int penalized_count_ = 0;   // threads with the penalized flag set
-  int inherited_count_ = 0;   // threads with inherited_priority > 0
   std::vector<ThreadId> tied_scratch_;    // SelectReady tie-break candidates (reused)
   std::vector<ThreadId> random_scratch_;  // RandomReadyThread candidates (reused)
-  std::vector<ThreadId> running_;       // per processor; kNoThread = idle
-  std::vector<ThreadId> last_running_;  // per processor; for switch-event dedup
-  std::unordered_map<const void*, ThreadId> monitor_owner_;
-
-  // Timer wheel: timer_wheel_[i] holds entries due at tick (wheel_base_tick_ + i) on the
-  // quantum grid. timer_count_ counts live (possibly stale) entries across all buckets.
-  std::deque<std::vector<TimerEntry>> timer_wheel_;
-  Usec wheel_base_tick_ = 0;
-  size_t wheel_scan_hint_ = 0;  // buckets below this index are known empty
-  size_t timer_count_ = 0;
   std::vector<std::vector<TimerEntry>> timer_bucket_pool_;
 
-  std::priority_queue<PendingInterrupt, std::vector<PendingInterrupt>,
-                      std::greater<PendingInterrupt>>
-      interrupts_;
-
-  std::deque<WaitEntry> fork_waiters_;  // threads blocked in Fork waiting for resources
-  int live_threads_ = 0;
-  int64_t total_forks_ = 0;
-  int64_t uncaught_exits_ = 0;
-  int64_t zero_progress_ops_ = 0;       // livelock guard: ops executed since time last advanced
-  size_t stack_bytes_reserved_ = 0;
-  size_t peak_stack_bytes_reserved_ = 0;
-  int64_t fiber_switches_ = 0;
-  int64_t stack_acquires_ = 0;
-  int64_t stack_pool_hits_ = 0;
   // Fibers release their stacks into this pool when destroyed; Shutdown() (which the
   // destructor runs before any member is torn down) destroys every fiber, so member order
   // relative to tcbs_ does not matter.

@@ -11,15 +11,14 @@
 namespace trace {
 
 namespace {
-constexpr char kHeaderV1[] = "pcr-trace v1";
-constexpr char kHeaderV2[] = "pcr-trace v2";
-// v2 symbol lines: "#sym\t<id>\t<name to end of line>". They precede the event records so a
+constexpr char kHeader[] = "pcr-trace v2";
+// Symbol lines: "#sym\t<id>\t<name to end of line>". They precede the event records so a
 // streaming reader has the table before the first event that references it.
 constexpr char kSymPrefix[] = "#sym\t";
 }  // namespace
 
 size_t WriteTrace(std::ostream& os, const Tracer& tracer) {
-  os << kHeaderV2 << "\n";
+  os << kHeader << "\n";
   const SymbolTable& symbols = tracer.symbols();
   for (uint32_t id = 1; id < symbols.size(); ++id) {  // id 0 is always ""
     os << kSymPrefix << id << '\t' << symbols.Name(id) << '\n';
@@ -34,10 +33,9 @@ size_t WriteTrace(std::ostream& os, const Tracer& tracer) {
 
 int64_t ReadTrace(std::istream& is, Tracer* tracer) {
   std::string line;
-  if (!std::getline(is, line) || (line != kHeaderV1 && line != kHeaderV2)) {
+  if (!std::getline(is, line) || line != kHeader) {
     return -1;
   }
-  bool v2 = line == kHeaderV2;
   // File symbol id -> id in the target tracer's table (which may already hold other names when
   // appending to a used tracer).
   std::vector<uint32_t> sym_map(1, 0);
@@ -49,7 +47,7 @@ int64_t ReadTrace(std::istream& is, Tracer* tracer) {
     if (line.empty()) {
       continue;
     }
-    if (v2 && line.compare(0, sizeof(kSymPrefix) - 1, kSymPrefix) == 0) {
+    if (line.compare(0, sizeof(kSymPrefix) - 1, kSymPrefix) == 0) {
       size_t tab = line.find('\t', sizeof(kSymPrefix) - 1);
       if (tab == std::string::npos) {
         return -1;
@@ -73,18 +71,14 @@ int64_t ReadTrace(std::istream& is, Tracer* tracer) {
     int type = 0;
     int priority = 0;
     uint32_t processor = 0;
-    if (!(fields >> time >> type >> priority >> processor >> e.thread >> e.object >> e.arg)) {
+    uint32_t thread_sym = 0;
+    uint32_t object_sym = 0;
+    if (!(fields >> time >> type >> priority >> processor >> e.thread >> e.object >> e.arg >>
+          thread_sym >> object_sym)) {
       return -1;
     }
-    if (v2) {
-      uint32_t thread_sym = 0;
-      uint32_t object_sym = 0;
-      if (!(fields >> thread_sym >> object_sym)) {
-        return -1;
-      }
-      e.thread_sym = remap(thread_sym);
-      e.object_sym = remap(object_sym);
-    }
+    e.thread_sym = remap(thread_sym);
+    e.object_sym = remap(object_sym);
     e.time_us = time;
     e.type = static_cast<EventType>(type);
     e.priority = static_cast<uint8_t>(priority);

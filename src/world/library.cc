@@ -13,7 +13,7 @@ ModuleLibrary::ModuleLibrary(pcr::Runtime& runtime, std::string name, int module
 void ModuleLibrary::Call(uint64_t key, pcr::Usec cost) {
   pcr::MonitorLock& monitor = *monitors_[key % monitors_.size()];
   pcr::MonitorGuard guard(monitor);
-  monitor.scheduler().Charge(cost);
+  monitor.scheduler().Compute(cost);
   ++calls_;
 }
 

@@ -244,7 +244,7 @@ void ServiceWorld::ExecuteLoop(Shard& shard) {
     }
     pcr::Scheduler& sched = runtime_.scheduler();
     if (uint64_t stall = sched.ConsultFault(pcr::FaultSite::kShardStall); stall != 0) {
-      sched.Charge(static_cast<pcr::Usec>(stall) * sched.config().quantum);
+      sched.Compute(static_cast<pcr::Usec>(stall) * sched.config().quantum);
     }
     pcr::thisthread::Compute(
         (request->cls == RequestClass::kInteractive ? spec_.interactive_cost
@@ -262,7 +262,7 @@ void ServiceWorld::ServeRequest(Shard& shard, const ServiceRequest& request) {
   // downstream) charges N quanta before this request is served — queueing delay every later
   // request in this shard inherits.
   if (uint64_t stall = sched.ConsultFault(pcr::FaultSite::kShardStall); stall != 0) {
-    sched.Charge(static_cast<pcr::Usec>(stall) * sched.config().quantum);
+    sched.Compute(static_cast<pcr::Usec>(stall) * sched.config().quantum);
   }
   pcr::thisthread::Compute(request.cls == RequestClass::kInteractive ? spec_.interactive_cost
                                                                      : spec_.bulk_cost);

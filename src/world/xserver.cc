@@ -20,15 +20,15 @@ bool XServerModel::Send(const std::vector<PaintRequest>& batch) {
   if (!connected_) {
     // The client pays one flush charge to discover the broken connection; the batch stays
     // with the caller.
-    s.Charge(costs_.per_flush);
+    s.Compute(costs_.per_flush);
     ++failed_sends_;
     return false;
   }
   if (uint64_t stall = s.ConsultFault(pcr::FaultSite::kXStall); stall != 0) {
     // A wedged (not lost) server: the send blocks the caller for the stall, then succeeds.
-    s.Charge(static_cast<pcr::Usec>(stall) * s.config().quantum);
+    s.Compute(static_cast<pcr::Usec>(stall) * s.config().quantum);
   }
-  s.Charge(costs_.per_flush + costs_.per_request * static_cast<pcr::Usec>(batch.size()));
+  s.Compute(costs_.per_flush + costs_.per_request * static_cast<pcr::Usec>(batch.size()));
   ++flushes_;
   requests_received_ += static_cast<int64_t>(batch.size());
   pcr::Usec now = runtime_.now();
@@ -47,7 +47,7 @@ bool XServerModel::TryReconnect() {
   if (connected_) {
     return true;
   }
-  runtime_.scheduler().Charge(costs_.per_flush);
+  runtime_.scheduler().Compute(costs_.per_flush);
   if (runtime_.now() < earliest_reconnect_) {
     return false;
   }

@@ -7,6 +7,7 @@
 // silently falls back to from-zero execution, so these tests still pass — they just compare
 // the fallback against itself.
 
+#include <stdexcept>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -14,7 +15,9 @@
 #include "examples/example_scenarios.h"
 #include "src/explore/explorer.h"
 #include "src/explore/scenarios.h"
+#include "src/fault/fault.h"
 #include "src/pcr/checkpoint.h"
+#include "src/pcr/runtime.h"
 
 namespace {
 
@@ -92,6 +95,47 @@ TEST(CheckpointEquivalenceTest, ExampleBodiesHonorCheckpointSafety) {
     ExpectSameResult(as_registered, from_zero);
   }
   EXPECT_EQ(seen, 5) << "all example workloads should be registered";
+}
+
+// Injected thread death unwinds through ~MonitorGuard, whose Exit charges virtual time, so a
+// segment boundary can pause a fiber mid-unwind. No Checkpoint may be taken (or restored past)
+// there: the exception in flight is heap state plus a per-OS-thread count that stack restore
+// cannot rewind. The explorer recomputes such a group from zero, so both modes still agree.
+TEST(CheckpointEquivalenceTest, ThreadDeathMidUnwindMatchesFromZero) {
+  for (const char* name : {"good_monitor", "buggy_monitor"}) {
+    const explore::BugScenario* scenario = explore::FindScenario(name);
+    ASSERT_NE(scenario, nullptr) << name;
+    explore::BugScenario faulted = *scenario;
+    faulted.options.fault_plan =
+        fault::Plan::Decode("f1,rate=0.02,sites=thread-death+notify-lost,seed=3");
+    SCOPED_TRACE(name);
+    for (int workers : {1, 4}) {
+      ExploreResult with = ExploreScenario(faulted, /*checkpoint=*/true, workers);
+      ExploreResult without = ExploreScenario(faulted, /*checkpoint=*/false, workers);
+      ExpectSameResult(with, without);
+    }
+  }
+}
+
+TEST(CheckpointGuardTest, RefusesSnapshotWhileAnExceptionIsInFlight) {
+  if (!pcr::Checkpoint::Supported()) {
+    GTEST_SKIP() << "checkpointing is unsupported in this build";
+  }
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  struct SnapshotDuringUnwind {
+    pcr::Runtime& rt;
+    ~SnapshotDuringUnwind() { pcr::Checkpoint ckpt(rt.scheduler(), rt.tracer(), nullptr); }
+  };
+  EXPECT_DEATH(
+      {
+        pcr::Runtime rt;
+        try {
+          SnapshotDuringUnwind snapshot{rt};
+          throw std::runtime_error("in flight");
+        } catch (const std::runtime_error&) {
+        }
+      },
+      "Checkpoint::Checkpoint with an exception in flight");
 }
 
 TEST(CheckpointEquivalenceTest, WorkerCountInvariantWithCheckpointingOn) {

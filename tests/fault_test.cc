@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <new>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -258,8 +260,8 @@ TEST(StackExhaustionTest, ForkReportsStackExhaustedWhenPoolIsFull) {
 
 TEST(ThreadDeathTest, InjectedDeathPoisonsHeldMonitor) {
   fault::Plan plan;
-  // Consult 0 is the Charge inside Enter itself (before ownership registers); consult 1 is the
-  // explicit Compute below, where the victim already holds the lock.
+  // Consult 0 is the cost charge inside Enter itself (before ownership registers); consult 1 is
+  // the explicit Compute below, where the victim already holds the lock.
   plan.script.push_back({FaultSite::kThreadDeath, 1, 1});
   fault::Injector injector(plan);
 
@@ -290,6 +292,58 @@ TEST(ThreadDeathTest, InjectedDeathPoisonsHeldMonitor) {
   EXPECT_TRUE(entrant_saw_poison);
   EXPECT_TRUE(lock.poisoned());
   EXPECT_EQ(rt.scheduler().uncaught_exits(), 1);
+}
+
+TEST(ThreadDeathTest, PoisoningOrderDoesNotDependOnLockAddresses) {
+  // A dying thread's abandoned monitors are poisoned most recently acquired first. The order,
+  // and with it the trace, must not change when the locks move in memory: A and B are
+  // placement-constructed at 64 offsets 8 bytes apart, next to a bystander's unrelated lock.
+  constexpr size_t kOffsets = 64;
+  alignas(MonitorLock) unsigned char storage[(kOffsets - 1) * 8 + 2 * sizeof(MonitorLock)];
+  uint64_t first_hash = 0;
+  for (size_t offset = 0; offset < kOffsets * 8; offset += 8) {
+    SCOPED_TRACE("offset " + std::to_string(offset));
+    Runtime rt;
+    MonitorLock unrelated(rt.scheduler(), "unrelated");
+    auto* a = new (storage + offset) MonitorLock(rt.scheduler(), "A");
+    auto* b = new (storage + offset + sizeof(MonitorLock)) MonitorLock(rt.scheduler(), "B");
+    int poisoned_entrants = 0;
+    rt.Fork([&] {  // bystander: holds the unrelated monitor across the death
+      MonitorGuard guard(unrelated);
+      pcr::thisthread::Sleep(200 * kUsecPerMsec);
+    });
+    rt.Fork([&] {  // victim: no guards, so it dies holding both
+      a->Enter();
+      b->Enter();
+      pcr::thisthread::Sleep(100 * kUsecPerMsec);
+      throw std::runtime_error("victim dies holding A and B");
+    });
+    for (MonitorLock* lock : {a, b}) {
+      rt.Fork([&, lock] {  // one queued entrant per lock
+        try {
+          MonitorGuard guard(*lock);
+        } catch (const pcr::MonitorPoisoned&) {
+          ++poisoned_entrants;
+        }
+      });
+    }
+    EXPECT_EQ(rt.RunUntilQuiescent(kUsecPerSec), RunStatus::kQuiescent);
+    EXPECT_EQ(poisoned_entrants, 2);
+    std::vector<pcr::ObjectId> order;
+    for (const trace::Event& e : rt.tracer().view()) {
+      if (e.type == trace::EventType::kMonitorPoisoned) {
+        order.push_back(e.object);
+      }
+    }
+    EXPECT_EQ(order, (std::vector<pcr::ObjectId>{b->id(), a->id()}));  // same ids every offset
+    const uint64_t hash = explore::TraceHash(rt.tracer());
+    if (offset == 0) {
+      first_hash = hash;
+    }
+    EXPECT_EQ(hash, first_hash);
+    b->~MonitorLock();
+    a->~MonitorLock();
+  }
 }
 
 TEST(ThreadDeathTest, FatalUncaughtAbortsWithThreadAndMessage) {

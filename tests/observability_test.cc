@@ -298,22 +298,6 @@ TEST(SerializeTest, V2RemapsSymbolsIntoPrePopulatedTracer) {
   EXPECT_EQ(e.object_sym, 2u);     // "beta" resolved to b's existing entry
 }
 
-TEST(SerializeTest, V1HeaderReadsSymbolFreeRecords) {
-  trace::Tracer t;
-  std::istringstream in("pcr-trace v1\n5\t0\t3\t0\t1\t2\t7\n");
-  ASSERT_EQ(trace::ReadTrace(in, &t), 1);
-  ASSERT_EQ(t.size(), 1u);
-  const Event e = *t.view().begin();
-  EXPECT_EQ(e.time_us, 5);
-  EXPECT_EQ(e.type, EventType::kThreadFork);
-  EXPECT_EQ(e.priority, 3);
-  EXPECT_EQ(e.thread, 1u);
-  EXPECT_EQ(e.object, 2u);
-  EXPECT_EQ(e.arg, 7u);
-  EXPECT_EQ(e.thread_sym, 0u);  // v1 records carry no symbols
-  EXPECT_EQ(e.object_sym, 0u);
-}
-
 TEST(SerializeTest, RejectsMalformedSymbolLines) {
   {
     trace::Tracer t;  // ids must be dense starting at 1

@@ -66,6 +66,22 @@ echo "== Fault suite + fault-plan determinism at workers=4"
 (cd "$BUILD_RELEASE" && bench/bench_explore --workers=4 --budget=200 \
   --fault-plan="f1,rate=0.05,sites=notify-lost+timer-skew,seed=5")
 
+# Thread-death leg: an injected death unwinds through ~MonitorGuard, whose Exit charges
+# virtual time, so checkpoint-and-branch can pause a fiber mid-unwind — a state no snapshot
+# may capture. Checkpointed and from-zero exploration must print the same verdict, repro and
+# replay-hash lines.
+echo "== Thread-death fault plan: checkpointed == from-zero"
+TD_PLAN="f1,rate=0.02,sites=thread-death+notify-lost,seed=3"
+"$BUILD_RELEASE/tools/pcrcheck" --all --workers=4 --fault-plan="$TD_PLAN" \
+  > "$BUILD_RELEASE/ci_td_checkpoint.out"
+"$BUILD_RELEASE/tools/pcrcheck" --all --workers=4 --no-checkpoint --fault-plan="$TD_PLAN" \
+  > "$BUILD_RELEASE/ci_td_from_zero.out"
+for mode in checkpoint from_zero; do
+  grep -E 'verdict:|repro:|replay x2: hash' "$BUILD_RELEASE/ci_td_$mode.out" \
+    > "$BUILD_RELEASE/ci_td_$mode.lines"
+done
+diff "$BUILD_RELEASE/ci_td_checkpoint.lines" "$BUILD_RELEASE/ci_td_from_zero.lines"
+
 # Overload-robustness gates: the load suite (ctest -L load) covers admission control,
 # backpressure, brown-out, and the backlog watchdog over the open-loop service world;
 # bench_service_load sweeps offered load x paradigm, exits nonzero if a re-run diverges, and
