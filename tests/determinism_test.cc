@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "examples/example_scenarios.h"
@@ -12,6 +13,14 @@
 #include "src/fault/fault.h"
 #include "src/pcr/runtime.h"
 #include "src/trace/tracer.h"
+
+namespace examples {
+
+// gtest prints a parameter it cannot format as raw bytes, and ctest names embed that text.
+// ExampleScenario's bytes are pointers that move with ASLR, so print the scenario name instead.
+void PrintTo(const ExampleScenario& scenario, std::ostream* os) { *os << scenario.name; }
+
+}  // namespace examples
 
 namespace {
 
