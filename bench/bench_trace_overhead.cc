@@ -10,13 +10,18 @@
 //   bench_trace_overhead             # human-readable table
 //   bench_trace_overhead --json      # also write BENCH_trace.json (the CI artifact)
 //
-// Each config is timed kRepeats times and the minimum is kept: the workload is deterministic,
-// so min-of-N isolates the code's cost from scheduler noise on the host.
+// One workload run takes a few milliseconds, too short to time against host noise. So a
+// sample is kRunsPerSample back-to-back runs, after one untimed warm-up sample per config; each
+// of kRepetitions repetitions takes one sample of every config in turn, so host drift hits
+// the three alike; and each overhead is the median over repetitions of that repetition's
+// ratio. The per-config seconds are medians too.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "src/pcr/monitor.h"
 #include "src/pcr/runtime.h"
@@ -25,7 +30,8 @@ namespace {
 
 constexpr int kThreads = 4;
 constexpr int kIterations = 5000;
-constexpr int kRepeats = 5;
+constexpr int kRunsPerSample = 10;
+constexpr int kRepetitions = 7;
 constexpr double kMaxMetricsOverhead = 0.10;
 // End-to-end cost of the segmented trace log vs. running dark. The packed 24-byte encoding
 // landed this at ~0.04-0.15 on the reference host (down from ~0.34 with the flat vector);
@@ -35,8 +41,11 @@ constexpr double kMaxTracingOverhead = 0.15;
 
 struct Measurement {
   const char* name;
-  double seconds = 0;     // min over kRepeats
-  size_t events = 0;      // recorded trace events (0 with tracing off)
+  bool tracing;
+  bool metrics;
+  std::vector<double> samples;  // seconds per workload run, one per repetition
+  double seconds = 0;           // median of samples
+  size_t events = 0;            // recorded trace events (0 with tracing off)
   double events_per_sec = 0;
 };
 
@@ -66,21 +75,28 @@ double RunOnce(bool tracing, bool metrics, size_t* events_out) {
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
-Measurement Measure(const char* name, bool tracing, bool metrics) {
-  Measurement m;
-  m.name = name;
-  for (int r = 0; r < kRepeats; ++r) {
-    size_t events = 0;
-    double sec = RunOnce(tracing, metrics, &events);
-    if (r == 0 || sec < m.seconds) {
-      m.seconds = sec;
-    }
-    m.events = events;
+// Seconds per workload run, averaged over kRunsPerSample back-to-back runs.
+double Sample(Measurement& m) {
+  double total = 0;
+  for (int i = 0; i < kRunsPerSample; ++i) {
+    total += RunOnce(m.tracing, m.metrics, &m.events);
   }
-  // Events/sec is computed against the traced event count even for the tracing-off config, so
-  // the three rows stay comparable (the same number of events *happened*; they just were not
-  // recorded). The caller fills it in once the traced count is known.
-  return m;
+  return total / kRunsPerSample;
+}
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const size_t n = values.size();
+  return n % 2 == 1 ? values[n / 2] : (values[n / 2 - 1] + values[n / 2]) / 2;
+}
+
+// Median over repetitions of slower/faster - 1, paired within each repetition.
+double MedianOverhead(const Measurement& slower, const Measurement& faster) {
+  std::vector<double> ratios;
+  for (size_t r = 0; r < slower.samples.size(); ++r) {
+    ratios.push_back(slower.samples[r] / faster.samples[r] - 1.0);
+  }
+  return Median(ratios);
 }
 
 }  // namespace
@@ -96,23 +112,35 @@ int main(int argc, char** argv) {
     }
   }
 
-  Measurement full = Measure("tracing+metrics", true, true);
-  Measurement trace_only = Measure("tracing", true, false);
-  Measurement off = Measure("off", false, false);
-  const size_t events = full.events;  // same workload => same event count where recorded
-  for (Measurement* m : {&full, &trace_only, &off}) {
+  Measurement full{"tracing+metrics", true, true};
+  Measurement trace_only{"tracing", true, false};
+  Measurement off{"off", false, false};
+  Measurement* rows[] = {&full, &trace_only, &off};
+  for (Measurement* m : rows) {
+    Sample(*m);  // warm-up, untimed
+  }
+  for (int r = 0; r < kRepetitions; ++r) {
+    for (Measurement* m : rows) {
+      m->samples.push_back(Sample(*m));
+    }
+  }
+  // Events/sec is computed against the traced event count even for the tracing-off config, so
+  // the three rows stay comparable (the same number of events *happened*; they just were not
+  // recorded).
+  const size_t events = full.events;
+  for (Measurement* m : rows) {
+    m->seconds = Median(m->samples);
     m->events_per_sec = m->seconds > 0 ? static_cast<double>(events) / m->seconds : 0;
   }
 
-  const double metrics_overhead =
-      trace_only.seconds > 0 ? full.seconds / trace_only.seconds - 1.0 : 0.0;
-  const double tracing_overhead =
-      off.seconds > 0 ? trace_only.seconds / off.seconds - 1.0 : 0.0;
+  const double metrics_overhead = MedianOverhead(full, trace_only);
+  const double tracing_overhead = MedianOverhead(trace_only, off);
   const bool metrics_ok = metrics_overhead <= kMaxMetricsOverhead;
   const bool tracing_ok = tracing_overhead <= kMaxTracingOverhead;
   const bool pass = metrics_ok && tracing_ok;
 
-  for (const Measurement* m : {&full, &trace_only, &off}) {
+  std::printf("median of %d repetitions x %d runs per config\n", kRepetitions, kRunsPerSample);
+  for (const Measurement* m : rows) {
     std::printf("%-16s %8.4fs  %9.0f events/s\n", m->name, m->seconds, m->events_per_sec);
   }
   std::printf("events per run: %zu\n", events);
@@ -129,7 +157,6 @@ int main(int argc, char** argv) {
       return 2;
     }
     std::fprintf(f, "{\n  \"benchmarks\": [\n");
-    const Measurement* rows[] = {&full, &trace_only, &off};
     for (int i = 0; i < 3; ++i) {
       std::fprintf(f,
                    "    {\"config\": \"%s\", \"seconds\": %.6f, \"events\": %zu, "
@@ -138,12 +165,13 @@ int main(int argc, char** argv) {
                    i < 2 ? "," : "");
     }
     std::fprintf(f,
-                 "  ],\n  \"metrics_overhead_fraction\": %.4f,\n"
+                 "  ],\n  \"repetitions\": %d,\n  \"runs_per_sample\": %d,\n"
+                 "  \"metrics_overhead_fraction\": %.4f,\n"
                  "  \"tracing_overhead_fraction\": %.4f,\n"
                  "  \"metrics_threshold\": %.2f,\n"
                  "  \"tracing_threshold\": %.2f,\n  \"pass\": %s\n}\n",
-                 metrics_overhead, tracing_overhead, kMaxMetricsOverhead, kMaxTracingOverhead,
-                 pass ? "true" : "false");
+                 kRepetitions, kRunsPerSample, metrics_overhead, tracing_overhead,
+                 kMaxMetricsOverhead, kMaxTracingOverhead, pass ? "true" : "false");
     std::fclose(f);
     std::printf("wrote %s\n", path);
   }

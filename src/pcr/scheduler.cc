@@ -348,6 +348,9 @@ void Scheduler::Compute(Usec duration) {
     throw InjectedFault("pcr: injected thread death in " + me->name);
   }
   me->remaining += duration;
+  if (ChargeInPlace(*me)) {
+    return;
+  }
   me->fiber->Suspend();
   if (shutting_down_ && std::uncaught_exceptions() == 0) {
     // Resumed by Shutdown: unwind this thread. Suppressed while another exception is already
@@ -980,6 +983,32 @@ void Scheduler::PreemptIfNeeded() {
   }
 }
 
+bool Scheduler::ChargeInPlace(Tcb& me) {
+  // Suspending would run the loop once: Settle finds nothing to change, the clock advances to
+  // the charge's end, and the caller resumes. That holds when the charge ends strictly before
+  // anything else can happen — the next tick (which also bounds every timer), the earliest
+  // interrupt, the run deadline — and no ready thread would preempt the caller (the
+  // PreemptIfNeeded test). With P>1, other processors' completions would also bound the
+  // charge, and fair share preempts by its own rule; neither is modelled here, so those
+  // configurations always take the round trip.
+  const Usec done = now_ + me.remaining;
+  if (config_.processors != 1 || config_.scheduling != SchedulingPolicy::kStrictPriority ||
+      done >= next_tick_due_ || done >= run_deadline_ ||
+      (!interrupts_.empty() && done >= interrupts_.top().time)) {
+    return false;
+  }
+  ThreadId rival = SelectReady(/*pop=*/false);
+  if (rival != kNoThread && EffectivePriority(GetTcb(rival)) > EffectivePriority(me)) {
+    return false;
+  }
+  // The round trip's own state changes: the dispatch RunFiber counts once the fiber suspends,
+  // then the clock advance (cpu_time, remaining, now_, livelock reset). No switch is counted.
+  ++zero_progress_ops_;
+  CheckLivelock();
+  AdvanceTo(done);
+  return true;
+}
+
 void Scheduler::RunFiber(Tcb& tcb) {
   if (!tcb.fiber) {
     Tcb* target = &tcb;
@@ -1319,6 +1348,7 @@ void Scheduler::CheckLivelock() {
 
 RunStatus Scheduler::RunLoop(Usec deadline, bool idle_to_deadline) {
   in_run_loop_ = true;
+  run_deadline_ = deadline;
   if (next_tick_due_ == 0) {
     next_tick_due_ = config_.quantum;
   }

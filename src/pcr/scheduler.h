@@ -12,9 +12,12 @@
 //     yields boost the donee until the next tick (Section 6.2 / the SystemDaemon).
 //
 // Execution model: simulated threads are fibers. Real C++ code takes zero virtual time; virtual
-// time passes only inside Compute()/cost charges, which suspend to the scheduler loop. The loop
+// time passes only inside Compute()/cost charges. A charge suspends to the scheduler loop, which
 // advances the clock to the next interesting instant (compute completion, tick, or external
-// interrupt), so preemption points are exact without interrupting host code.
+// interrupt), so preemption points are exact without interrupting host code. A charge that no
+// other thread can observe — one processor, strict priority, no ready thread that would preempt
+// the caller, ending before the next tick, interrupt and run deadline — advances the clock in
+// place instead, with the same state changes and no context switch.
 
 #ifndef SRC_PCR_SCHEDULER_H_
 #define SRC_PCR_SCHEDULER_H_
@@ -193,6 +196,9 @@ struct SchedulerRunState {
   ObjectId next_object_id_ = 0;
   bool shutting_down_ = false;
   bool in_run_loop_ = false;
+  // The active RunLoop's deadline. Bounds the charges Compute makes in place, so it rewinds
+  // together with the run-loop frame a checkpoint restores into.
+  Usec run_deadline_ = 0;
 
   std::deque<ThreadId> ready_[kNumPriorityLevels];
   uint32_t ready_mask_ = 0;   // bit p set iff ready_[p] is non-empty
@@ -295,8 +301,10 @@ class Scheduler : private SchedulerRunState {
   void Join(ThreadId tid);
   void Detach(ThreadId tid);
   // Charges virtual time to the current thread: explicit work and every cost-model charge
-  // (monitor entry, fork, yield, ...). A preemption point. No-op from the host context, during
-  // shutdown, or when duration <= 0.
+  // (monitor entry, fork, yield, ...). A preemption point: suspends to the run loop unless no
+  // other thread can observe the charge (see ChargeInPlace), in which case the clock advances
+  // without a context switch. No-op from the host context, during shutdown, or when
+  // duration <= 0.
   void Compute(Usec duration);
   void Yield();
   void YieldButNotToMe();
@@ -398,9 +406,9 @@ class Scheduler : private SchedulerRunState {
   size_t peak_stack_bytes_reserved() const { return peak_stack_bytes_reserved_; }
 
   // Fiber-substrate counters, kept independent of the metrics registry so benches can read
-  // them even in PCR_METRICS=OFF builds. fiber_switches counts context switches (two per
-  // Resume round trip); stack_acquires/stack_pool_hits count fiber-stack requests and how many
-  // the stack pool served without a fresh mmap.
+  // them even in PCR_METRICS=OFF builds. fiber_switches counts real context switches: two per
+  // Resume round trip, none for a charge made in place; stack_acquires/stack_pool_hits count
+  // fiber-stack requests and how many the stack pool served without a fresh mmap.
   int64_t fiber_switches() const { return fiber_switches_; }
   int64_t stack_acquires() const { return stack_acquires_; }
   int64_t stack_pool_hits() const { return stack_pool_hits_; }
@@ -450,6 +458,9 @@ class Scheduler : private SchedulerRunState {
   void Settle();
   void AssignProcessors();
   void PreemptIfNeeded();
+  // Completes the current thread's pending charge without leaving its fiber when no other
+  // thread can observe it; returns false (nothing changed) when the run loop must decide.
+  bool ChargeInPlace(Tcb& me);
   void RunFiber(Tcb& tcb);
   void FiberBody(Tcb& tcb);
   void ExitCurrent();

@@ -117,6 +117,42 @@ TEST(CheckpointEquivalenceTest, ThreadDeathMidUnwindMatchesFromZero) {
   }
 }
 
+// A charge may advance the clock in place only while it ends before the active RunFor
+// deadline. That deadline belongs to the run-loop frame a checkpoint rewinds, so it must rewind
+// with it: a restore into the first RunFor, made after the second one raised the deadline, must
+// still stop the first RunFor at its own deadline (1800 us, inside the first quantum).
+TEST(CheckpointEquivalenceTest, RunDeadlineRewindsWithTheRunLoop) {
+  ExploreOptions options;
+  options.scenario_name = "run_deadline";
+  options.budget = 1100;
+  options.seed = 7;
+  explore::TestBody body = [](pcr::Runtime& rt, explore::TestContext& ctx) {
+    pcr::MonitorLock lock(rt.scheduler(), "m");
+    for (int t = 0; t < 3; ++t) {
+      rt.Fork([&lock] {
+        for (int i = 0; i < 60; ++i) {
+          pcr::MonitorGuard guard(lock);
+          pcr::thisthread::Compute(7);
+        }
+      });
+    }
+    rt.RunFor(1800);
+    ctx.Check(rt.now() == 1800, "first RunFor overran its deadline");
+    rt.RunFor(20 * pcr::kUsecPerMsec);
+    rt.Shutdown();
+  };
+  auto run = [&](bool checkpoint) {
+    ExploreOptions mode = options;
+    mode.checkpoint = checkpoint;
+    return Explorer(mode).Explore(body);
+  };
+  ExploreResult with = run(true);
+  ExploreResult without = run(false);
+  ExpectSameResult(with, without);
+  EXPECT_TRUE(with.failures.empty());
+  EXPECT_TRUE(without.failures.empty());
+}
+
 TEST(CheckpointGuardTest, RefusesSnapshotWhileAnExceptionIsInFlight) {
   if (!pcr::Checkpoint::Supported()) {
     GTEST_SKIP() << "checkpointing is unsupported in this build";

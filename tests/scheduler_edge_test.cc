@@ -1,6 +1,8 @@
 // Edge cases of the scheduler's machinery: tick-grid math, epoch validation, run-loop
 // boundaries, stack accounting, flag interactions.
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "src/pcr/condition.h"
@@ -251,6 +253,204 @@ TEST(TracerWindowTest, SummaryOfEmptyTraceIsZero) {
   EXPECT_EQ(s.switches, 0);
   EXPECT_EQ(s.window_us, 0);
   EXPECT_EQ(s.max_live_threads, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Charge boundaries. A Compute charge that no other thread can observe advances the clock in
+// place; every charge that ends on a tick, an interrupt or the RunFor deadline, or that follows
+// the caller readying a stronger thread, must still reach the run loop. Each case pins the exact
+// virtual times and order of events. Default costs: 30 us per dispatch, 250 per fork, 2 per
+// monitor enter and exit, 5 per CV wait and notify, 10 per interrupt dispatch.
+// ---------------------------------------------------------------------------
+
+// Appends "name@now" per step, so one comparison checks order and virtual times together.
+struct StepLog {
+  std::string text;
+  void Mark(const char* name) {
+    if (!text.empty()) {
+      text += ' ';
+    }
+    text += name;
+    text += '@';
+    text += std::to_string(thisthread::Now());
+  }
+};
+
+TEST(ChargeBoundaryTest, ChargeEndingOnATickRotatesToAnEqualPeer) {
+  // A is dispatched at 0 and starts at 30. Its charge ends exactly at the 1000 us tick, where
+  // the tick rotates it behind the equal-priority B; one microsecond shorter, A keeps the
+  // processor and B waits for A to finish.
+  auto run = [](Usec charge) {
+    Config config;
+    config.quantum = kUsecPerMsec;
+    Runtime rt(config);
+    StepLog log;
+    rt.ForkDetached([&log, charge] {
+      log.Mark("A");
+      thisthread::Compute(charge);
+      log.Mark("A");
+    });
+    rt.ForkDetached([&log] { log.Mark("B"); });
+    EXPECT_EQ(rt.RunUntilQuiescent(kUsecPerSec), RunStatus::kQuiescent);
+    return log.text;
+  };
+  EXPECT_EQ(run(970), "A@30 B@1030 A@1060");
+  EXPECT_EQ(run(969), "A@30 A@999 B@1029");
+}
+
+TEST(ChargeBoundaryTest, ChargeEndingAtAnInterruptLetsTheHandlerRunFirst) {
+  // W's charge ends at 500, exactly when the device event is due. The priority-6 handler is
+  // woken there and preempts W before W resumes: it starts at 530 and charges 10 to consume the
+  // event, and W resumes only after a fresh dispatch.
+  Runtime rt;
+  InterruptSource device(rt.scheduler(), "dev");
+  StepLog log;
+  rt.ForkDetached(
+      [&] {
+        device.Await();
+        log.Mark("H");
+      },
+      ForkOptions{.priority = 6});
+  rt.ForkDetached(
+      [&] {
+        log.Mark("W");
+        thisthread::Compute(440);
+        log.Mark("W");
+      },
+      ForkOptions{.priority = 3});
+  device.PostAt(500, 1);
+  EXPECT_EQ(rt.RunUntilQuiescent(kUsecPerSec), RunStatus::kQuiescent);
+  EXPECT_EQ(log.text, "W@60 H@540 W@570");
+}
+
+TEST(ChargeBoundaryTest, ChargeCrossingARunForDeadlineSplitsAcrossCalls) {
+  Runtime rt;
+  StepLog log;
+  ThreadId tid = rt.ForkDetached([&] {
+    thisthread::Compute(1000);
+    log.Mark("T");
+  });
+  // The charge runs 30..1030. The first RunFor stops the clock at its deadline and charges
+  // only the elapsed part (30 us of dispatch plus 470 of the charge); the rest stays pending.
+  EXPECT_EQ(rt.RunFor(500), RunStatus::kDeadline);
+  EXPECT_EQ(rt.now(), 500);
+  EXPECT_EQ(log.text, "");
+  EXPECT_EQ(rt.scheduler().FindThread(tid)->cpu_time, 500);
+  EXPECT_EQ(rt.scheduler().FindThread(tid)->remaining, 530);
+  EXPECT_EQ(rt.RunFor(1000), RunStatus::kQuiescent);
+  EXPECT_EQ(log.text, "T@1030");
+  EXPECT_EQ(rt.scheduler().FindThread(tid)->cpu_time, 1030);
+  EXPECT_EQ(rt.now(), 1500);
+}
+
+TEST(ChargeBoundaryTest, ChargeEndingAtTheDeadlineResumesInTheNextRunFor) {
+  Runtime rt;
+  StepLog log;
+  ThreadId tid = rt.ForkDetached([&] {
+    thisthread::Compute(1000);
+    log.Mark("T");
+  });
+  EXPECT_EQ(rt.RunFor(1030), RunStatus::kDeadline);
+  EXPECT_EQ(log.text, "");  // the charge is complete, but the thread has not run on
+  EXPECT_EQ(rt.scheduler().FindThread(tid)->cpu_time, 1030);
+  EXPECT_EQ(rt.scheduler().FindThread(tid)->remaining, 0);
+  rt.RunFor(1);
+  EXPECT_EQ(log.text, "T@1030");
+}
+
+TEST(ChargeBoundaryTest, ForkOfAStrongerChildPreemptsAtTheFork) {
+  // The child (priority 5) is ready once TryFork queues it, so the parent's 250 us fork charge
+  // is preempted at 30 before any of it elapses, and is paid after the child exits.
+  Runtime rt;
+  StepLog log;
+  rt.ForkDetached(
+      [&] {
+        log.Mark("P");
+        rt.ForkDetached([&] { log.Mark("C"); }, ForkOptions{.priority = 5});
+        log.Mark("P");
+      },
+      ForkOptions{.priority = 3});
+  EXPECT_EQ(rt.RunUntilQuiescent(kUsecPerSec), RunStatus::kQuiescent);
+  EXPECT_EQ(log.text, "P@30 C@60 P@340");
+}
+
+TEST(ChargeBoundaryTest, NotifyOfAStrongerWaiterPreemptsAtTheNotify) {
+  // H (priority 5) enters at 32 and waits at 37. N notifies at 67 without holding the lock,
+  // so H is ready at once and N's 5 us notify charge is preempted before it elapses. H
+  // re-enters the free monitor (97 + 2) and exits; N finishes its charge after a redispatch.
+  Config config;
+  config.require_lock_for_notify = false;
+  Runtime rt(config);
+  MonitorLock lock(rt.scheduler(), "m");
+  Condition cv(lock, "cv");
+  StepLog log;
+  rt.ForkDetached(
+      [&] {
+        MonitorGuard guard(lock);
+        cv.Wait();
+        log.Mark("H");
+      },
+      ForkOptions{.priority = 5});
+  rt.ForkDetached(
+      [&] {
+        log.Mark("N");
+        cv.Notify();
+        log.Mark("N");
+      },
+      ForkOptions{.priority = 3});
+  EXPECT_EQ(rt.RunUntilQuiescent(kUsecPerSec), RunStatus::kQuiescent);
+  EXPECT_EQ(log.text, "N@67 H@99 N@136");
+}
+
+TEST(ChargeBoundaryTest, SelfDemotionPreemptsAtTheSetPriority) {
+  // T drops from 5 to 3 while U (priority 4) is ready: SetPriority's 1 us charge is the
+  // preemption point, so U runs at once and T pays the charge after U exits.
+  Runtime rt;
+  StepLog log;
+  rt.ForkDetached(
+      [&] {
+        log.Mark("T");
+        thisthread::SetPriority(3);
+        log.Mark("T");
+      },
+      ForkOptions{.priority = 5});
+  rt.ForkDetached([&] { log.Mark("U"); }, ForkOptions{.priority = 4});
+  EXPECT_EQ(rt.RunUntilQuiescent(kUsecPerSec), RunStatus::kQuiescent);
+  EXPECT_EQ(log.text, "T@30 U@60 T@91");
+}
+
+TEST(ChargeBoundaryTest, EqualPriorityPeerDoesNotPreempt) {
+  Config config;
+  config.quantum = kUsecPerMsec;
+  Runtime rt(config);
+  StepLog log;
+  rt.ForkDetached([&] {
+    log.Mark("A");
+    for (int i = 0; i < 3; ++i) {
+      thisthread::Compute(100);
+      log.Mark("A");
+    }
+  });
+  rt.ForkDetached([&] { log.Mark("B"); });
+  EXPECT_EQ(rt.RunUntilQuiescent(kUsecPerSec), RunStatus::kQuiescent);
+  EXPECT_EQ(log.text, "A@30 A@130 A@230 A@330 B@360");
+}
+
+TEST(FiberSwitchCountTest, ChargesNoOtherThreadObservesCostNoSwitch) {
+  // fiber_switches counts real context switches: in at dispatch, out at exit. The 1000
+  // charges inside the first quantum advance the clock in place.
+  Runtime rt;
+  rt.ForkDetached([] {
+    for (int i = 0; i < 1000; ++i) {
+      thisthread::Compute(1);
+    }
+  });
+  EXPECT_EQ(rt.RunUntilQuiescent(kUsecPerSec), RunStatus::kQuiescent);
+  EXPECT_EQ(rt.now(), 1030);
+  EXPECT_EQ(rt.scheduler().fiber_switches(), 2);
+  if (trace::Counter* switches = rt.scheduler().MetricCounter("fiber.switches")) {
+    EXPECT_EQ(switches->value(), 2);
+  }
 }
 
 }  // namespace

@@ -117,7 +117,8 @@ echo "== bench_micro --json"
 
 # Observability gates: the Chrome-trace and metrics exports must be valid JSON end to end, and
 # both tracing and metrics instrumentation must stay within their hot-path overhead budgets
-# (the bench exits nonzero past either threshold and records the numbers in BENCH_trace.json).
+# (the bench exits nonzero past either threshold and records the numbers in BENCH_trace.json;
+# it reports the median of 7 interleaved repetitions of 10 runs per config, about 2 s).
 echo "== Observability exports + trace-overhead budget"
 (cd "$BUILD_RELEASE" \
   && tools/pcrsim --scenario keyboard --duration 5 \
@@ -165,13 +166,16 @@ python3 "$ROOT/tools/bench_history.py" \
 
 # Portable-fallback leg: the ucontext fiber path must keep passing the explore suite (which
 # exercises fibers hardest: thousands of schedules, stack recycling, determinism at several
-# worker counts) so it cannot rot while the assembly path is the everyday default.
+# worker counts) so it cannot rot while the assembly path is the everyday default. The
+# behaviour lock runs here too: charges that advance the clock in place must give the same
+# outputs on either switch path.
 BUILD_UCONTEXT=${BUILD_UCONTEXT:-"$ROOT/build-ci-ucontext"}
 echo "== Release build with -DPCR_FIBER_UCONTEXT=ON"
 cmake -B "$BUILD_UCONTEXT" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release \
   -DPCR_FIBER_UCONTEXT=ON > /dev/null
 cmake --build "$BUILD_UCONTEXT" -j"$JOBS"
 (cd "$BUILD_UCONTEXT" && ctest --output-on-failure -j"$JOBS" -L explore)
+(cd "$BUILD_UCONTEXT" && ctest --output-on-failure -L lock)
 (cd "$BUILD_UCONTEXT" && bench/bench_fiber_switch --require-speedup=5)  # prints the auto-skip
 
 echo "== Debug build with -fsanitize=$SANITIZER"
