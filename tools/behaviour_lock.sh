@@ -8,7 +8,9 @@
 #
 # Contents: every `pcrsim --list` scenario at seeds 1 and 2 (summary row + cksum of the saved
 # trace), the five --load-scenario runs (percentiles + trace hash), `pcrcheck --all
-# --workers=1` (verdicts, repros, replay hashes) and bench_service_load's percentile table.
+# --workers=1` (verdicts, repros, replay hashes), bench_service_load's percentile table, and a
+# 20-round `pcrcheck --campaign` from an empty corpus (report + corpus file names), which must
+# print the same text at --workers=1 and --workers=4.
 set -eu
 
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
@@ -34,6 +36,15 @@ run() {
   fi
 }
 
+# Runs a 20-round campaign from an empty corpus on $1 workers and prints its report, with the
+# corpus path replaced by a fixed token, then the sorted file names of the corpus it wrote.
+campaign() {
+  dir=$TMP/campaign-w$1
+  run "$PCRCHECK" --campaign="$dir" --campaign-rounds=20 --workers="$1"
+  sed "s|$dir|CORPUS|g" "$TMP/out"
+  (cd "$dir" && find . -type f | LC_ALL=C sort)
+}
+
 generate() {
   echo "# pcrsim scenarios, --duration $DURATION: summary row, cksum of --save-trace"
   run "$PCRSIM" --list
@@ -56,6 +67,14 @@ generate() {
   echo "# bench_service_load"
   run "$SERVICE_LOAD"
   cat "$TMP/out"
+  echo "# pcrcheck --campaign=CORPUS --campaign-rounds=20, --workers=1 (=4): report, corpus files"
+  campaign 1 > "$TMP/campaign1"
+  campaign 4 > "$TMP/campaign4"
+  if ! diff -u "$TMP/campaign1" "$TMP/campaign4" >&2; then
+    echo "behaviour_lock: the campaign at --workers=4 differs from --workers=1 (diff above)" >&2
+    exit 1
+  fi
+  cat "$TMP/campaign1"
 }
 
 if [ -z "$LOCK" ]; then
