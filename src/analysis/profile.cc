@@ -123,7 +123,7 @@ void PrintThreadProfile(std::ostream& os, const ProfileSummary& profile, int top
     if (printed++ >= top_n) {
       break;
     }
-    os << std::left << std::setw(10) << ("t" + std::to_string(t.thread)) << std::right
+    os << std::left << std::setw(10) << ('t' + std::to_string(t.thread)) << std::right
        << std::setw(12) << t.cpu_us / 1000 << std::setw(12) << t.ml_enters << std::setw(10)
        << t.cv_waits << std::setw(8) << t.forks << "\n";
   }

@@ -143,7 +143,7 @@ void PrintDistributions(std::ostream& os, const std::vector<world::ScenarioResul
        << std::fixed << std::setprecision(0) << s.FractionIntervalsUnder(5 * kMs) * 100
        << "%  time in 45-50ms runs=" << s.FractionTimeBetween(45 * kMs, 50 * kMs) * 100
        << "%  peaks at ~" << early_peak << "ms and "
-       << (late_peak < 0 ? std::string("(none)") : "~" + std::to_string(late_peak) + "ms")
+       << (late_peak < 0 ? std::string("(none)") : '~' + std::to_string(late_peak) + "ms")
        << "  max-gen=" << r.genealogy.max_transient_generation
        << " eternal=" << r.genealogy.eternal << "\n";
   }

@@ -21,7 +21,7 @@ void RejuvenatingTask::Launch(std::shared_ptr<State> state) {
   std::string thread_name =
       state->name + (state->rejuvenations == 0
                          ? ""
-                         : "#" + std::to_string(state->rejuvenations));
+                         : '#' + std::to_string(state->rejuvenations));
   runtime.ForkDetached(
       [state] {
         try {

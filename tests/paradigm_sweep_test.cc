@@ -107,7 +107,7 @@ TEST_P(SlackConfigSweep, NoItemIsEverLostOrDuplicated) {
 class WorkerCountSweep : public ::testing::TestWithParam<int> {};
 
 INSTANTIATE_TEST_SUITE_P(Workers, WorkerCountSweep, ::testing::Values(1, 2, 4, 8),
-                         [](const auto& info) { return "w" + std::to_string(info.param); });
+                         [](const auto& info) { return 'w' + std::to_string(info.param); });
 
 TEST_P(WorkerCountSweep, CompletesAllWorkWithBoundedParallelism) {
   pcr::Runtime rt;
@@ -144,7 +144,7 @@ INSTANTIATE_TEST_SUITE_P(SecondClickDelays, ButtonTimingSweep,
                                            1500 * kUsecPerMsec,   // inside the window: fires
                                            5 * kUsecPerSec),      // too late: re-arms instead
                          [](const auto& info) {
-                           return "d" + std::to_string(info.param / kUsecPerMsec) + "ms";
+                           return 'd' + std::to_string(info.param / kUsecPerMsec) + "ms";
                          });
 
 TEST_P(ButtonTimingSweep, SecondClickFiresOnlyInsideTheWindow) {

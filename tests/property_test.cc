@@ -90,7 +90,7 @@ TEST_P(QuantumSweep, CvTimeoutGranularityEqualsQuantum) {
 class ProcessorSweep : public ::testing::TestWithParam<int> {};
 
 INSTANTIATE_TEST_SUITE_P(Processors, ProcessorSweep, ::testing::Values(1, 2, 3, 4, 8),
-                         [](const auto& info) { return "p" + std::to_string(info.param); });
+                         [](const auto& info) { return 'p' + std::to_string(info.param); });
 
 TEST_P(ProcessorSweep, MutualExclusionHolds) {
   Config config;
@@ -178,7 +178,7 @@ TEST_P(ProcessorSweep, NotifyWakesExactlyOneEverywhere) {
 class PopulationSweep : public ::testing::TestWithParam<int> {};
 
 INSTANTIATE_TEST_SUITE_P(Threads, PopulationSweep, ::testing::Values(1, 3, 10, 40, 150),
-                         [](const auto& info) { return "n" + std::to_string(info.param); });
+                         [](const auto& info) { return 'n' + std::to_string(info.param); });
 
 TEST_P(PopulationSweep, StrictPriorityCompletionOrder) {
   // CPU-bound threads at distinct priorities complete strictly in priority order, regardless
@@ -268,7 +268,7 @@ TEST_P(PopulationSweep, BoundedBufferConservesItems) {
 class SeedSweep : public ::testing::TestWithParam<uint64_t> {};
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeedSweep, ::testing::Values(1u, 2u, 42u, 1234u, 99999u),
-                         [](const auto& info) { return "s" + std::to_string(info.param); });
+                         [](const auto& info) { return 's' + std::to_string(info.param); });
 
 TEST_P(SeedSweep, SystemDaemonAlwaysUnwedgesInversion) {
   // The donation target is random; the rescue must work for every seed.

@@ -20,9 +20,9 @@ namespace {
 struct StressWorld {
   explicit StressWorld(Runtime& rt) {
     for (int i = 0; i < 6; ++i) {
-      monitors.push_back(std::make_unique<MonitorLock>(rt.scheduler(), "m" + std::to_string(i)));
+      monitors.push_back(std::make_unique<MonitorLock>(rt.scheduler(), 'm' + std::to_string(i)));
       conditions.push_back(std::make_unique<Condition>(*monitors.back(),
-                                                       "c" + std::to_string(i),
+                                                       'c' + std::to_string(i),
                                                        40 * kUsecPerMsec));
       counters.push_back(0);
     }

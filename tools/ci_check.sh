@@ -16,8 +16,11 @@ BUILD_RELEASE=${BUILD_RELEASE:-"$ROOT/build-ci-release"}
 BUILD_SANITIZED=${BUILD_SANITIZED:-"$ROOT/build-ci-$SANITIZER"}
 JOBS=$(nproc 2> /dev/null || echo 2)
 
-echo "== Release build"
-cmake -B "$BUILD_RELEASE" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release > /dev/null
+# -Werror on this leg only: the Release optimiser is what surfaces GCC's flow-based warnings
+# (-Wrestrict and friends), and the build must stay free of them.
+echo "== Release build (-Werror)"
+cmake -B "$BUILD_RELEASE" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror \
+  > /dev/null
 cmake --build "$BUILD_RELEASE" -j"$JOBS"
 (cd "$BUILD_RELEASE" && ctest --output-on-failure -j"$JOBS")
 
