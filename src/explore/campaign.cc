@@ -20,6 +20,17 @@ std::vector<Decision> TrimTrailingDefaults(std::vector<Decision> decisions) {
   return decisions;
 }
 
+// Same identity SameFailure uses: the first detector finding when there is one, otherwise the
+// first assertion message (stable text per Check call site).
+std::string FailureKey(const std::string& scenario, const ScheduleOutcome& outcome) {
+  std::string key = scenario + "|";
+  if (!outcome.findings.empty()) {
+    const Finding& f = outcome.findings.front();
+    return key + std::string(FindingKindName(f.kind)) + "@" + std::to_string(f.object);
+  }
+  return key + (outcome.failures.empty() ? "unknown" : outcome.failures.front());
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- CampaignInput
@@ -127,6 +138,10 @@ Campaign::Campaign(std::vector<BugScenario> scenarios, CampaignOptions options)
     : options_(std::move(options)),
       corpus_(options_.corpus_dir, options_.read_only),
       master_(options_.seed) {
+  int workers = options_.workers > 0 ? options_.workers : WorkerPool::HardwareWorkers();
+  for (int w = 0; w < workers; ++w) {
+    arenas_.push_back(std::make_unique<WorkerArena>());
+  }
   slots_.reserve(scenarios.size());
   for (BugScenario& scenario : scenarios) {
     ScenarioSlot slot;
@@ -160,25 +175,15 @@ bool Campaign::MergeCoverage(const ScheduleOutcome& outcome) {
 }
 
 void Campaign::NoteFailure(ScenarioSlot& slot, const ScheduleOutcome& outcome) {
-  // Same identity SameFailure uses: the first detector finding when there is one, otherwise
-  // the first assertion message (stable text per Check call site).
-  std::string key = slot.scenario.name + "|";
-  if (!outcome.findings.empty()) {
-    const Finding& f = outcome.findings.front();
-    key += std::string(FindingKindName(f.kind)) + "@" + std::to_string(f.object);
-  } else if (!outcome.failures.empty()) {
-    key += outcome.failures.front();
-  } else {
-    key += "unknown";
-  }
-  if (!failure_keys_.insert(key).second) {
+  if (!failure_keys_.insert(FailureKey(slot.scenario.name, outcome)).second) {
     return;
   }
   status_.distinct_failures = failure_keys_.size();
   // A new bug: shrink it with the standard Minimize path and pin it under crashes/. The
   // minimized input's own coverage joins the map so a later replay-only pass over this corpus
   // reaches the exact same coverage count (campaign_test relies on that fixed point).
-  ScheduleOutcome minimized = slot.explorer->Minimize(outcome, slot.scenario.body);
+  ScheduleOutcome minimized =
+      slot.explorer->Minimize(outcome, slot.scenario.body, arenas_[0].get());
   if (minimized.failed) {
     MergeCoverage(minimized);
   }
@@ -211,14 +216,15 @@ void Campaign::RunBatch(const std::vector<std::string>& repros, bool admit,
 
   std::vector<ScheduleOutcome> outcomes(tasks.size());
   std::vector<std::string> run_errors(tasks.size());
-  int workers = options_.workers > 0 ? options_.workers : WorkerPool::HardwareWorkers();
-  WorkerPool pool(workers);
-  pool.Run(tasks.size(), [&](size_t k) {
+  WorkerPool pool(static_cast<int>(arenas_.size()));
+  pool.Run(tasks.size(), [&](size_t worker, size_t k) {
+    Explorer& explorer = *tasks[k].slot->explorer;
+    const TestBody& body = tasks[k].slot->scenario.body;
+    WorkerArena* arena = arenas_[worker].get();
     try {
-      outcomes[k] = tasks[k].slot->explorer->Replay(*tasks[k].repro, tasks[k].slot->scenario.body);
+      outcomes[k] = explorer.Replay(*tasks[k].repro, body, nullptr, arena);
       if (validate_replay) {
-        ScheduleOutcome again =
-            tasks[k].slot->explorer->Replay(*tasks[k].repro, tasks[k].slot->scenario.body);
+        ScheduleOutcome again = explorer.Replay(*tasks[k].repro, body, nullptr, arena);
         if (again.trace_hash != outcomes[k].trace_hash) {
           run_errors[k] = "nondeterministic replay of " + *tasks[k].repro;
         }
@@ -281,8 +287,6 @@ const CampaignStatus& Campaign::Run() {
   // Phase B: replay the loaded corpus, twice per entry (determinism gate), and require every
   // crashes/ entry to still fail — the committed-corpus CI contract.
   RunBatch(loaded_entries, /*admit=*/true, /*validate_replay=*/true);
-  size_t failures_before = failure_keys_.size();
-  (void)failures_before;
   for (const std::string& crash : loaded_crashes) {
     CampaignInput input;
     if (!CampaignInput::Decode(crash, &input)) {
@@ -295,7 +299,8 @@ const CampaignStatus& Campaign::Run() {
                                "': " + crash);
       continue;
     }
-    ScheduleOutcome outcome = slot->explorer->Replay(crash, slot->scenario.body);
+    ScheduleOutcome outcome =
+        slot->explorer->Replay(crash, slot->scenario.body, nullptr, arenas_[0].get());
     ++status_.inputs_run;
     MergeCoverage(outcome);
     if (!outcome.failed) {
@@ -303,14 +308,7 @@ const CampaignStatus& Campaign::Run() {
       continue;
     }
     // Register the bug identity without re-minimizing (the entry is already minimal).
-    std::string key = slot->scenario.name + "|";
-    if (!outcome.findings.empty()) {
-      const Finding& f = outcome.findings.front();
-      key += std::string(FindingKindName(f.kind)) + "@" + std::to_string(f.object);
-    } else {
-      key += outcome.failures.front();
-    }
-    failure_keys_.insert(key);
+    failure_keys_.insert(FailureKey(slot->scenario.name, outcome));
     status_.distinct_failures = failure_keys_.size();
   }
   MaybeWriteStatus(true);

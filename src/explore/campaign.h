@@ -20,7 +20,9 @@
 // Rounds fan candidate executions across the explorer's WorkerPool, but every decision that
 // shapes the corpus — candidate generation, coverage union, corpus admission, crash dedup,
 // minimization — happens serially in candidate-index order, so corpus evolution is
-// byte-identical at any worker count (the same contract Explorer::Explore keeps).
+// byte-identical at any worker count (the same contract Explorer::Explore keeps). Each pool
+// worker replays on its own WorkerArena, kept for the campaign's lifetime, so an input's
+// FORKs reuse the stacks and trace buffer its worker's previous inputs left behind.
 //
 // CLI: pcrcheck --campaign=DIR --campaign-rounds=N --campaign-status-json=FILE. docs/FUZZING.md
 // is the field guide.
@@ -150,6 +152,9 @@ class Campaign {
 
   std::vector<ScenarioSlot> slots_;
   CampaignOptions options_;
+  // One per pool worker, indexed by WorkerPool::Run's worker. The serial phases run on the
+  // calling thread, which is worker 0, and use arena 0.
+  std::vector<std::unique_ptr<WorkerArena>> arenas_;
   Corpus corpus_;
   CampaignStatus status_;
   std::mt19937_64 master_;

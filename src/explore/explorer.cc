@@ -42,14 +42,12 @@ double SecSince(ProfileClock::time_point start) {
 Explorer::Explorer(ExploreOptions options) : options_(std::move(options)) {}
 
 ScheduleOutcome Explorer::RunPlan(const Plan& plan, int schedule_index, const TestBody& body,
-                                  trace::Tracer* capture, WorkerArena* arena,
+                                  WorkerArena& arena, trace::Tracer* capture,
                                   std::vector<ConsultRecord>* consult_log) {
   pcr::Config config = options_.base_config;
   config.seed = plan.runtime_seed;
   config.trace_events = true;  // the trace is the whole point
-  if (arena != nullptr) {
-    config.stack_pool = &arena->stacks;
-  }
+  config.stack_pool = &arena.stacks;
 
   ScheduleOutcome outcome;
   outcome.schedule_index = schedule_index;
@@ -59,9 +57,7 @@ ScheduleOutcome Explorer::RunPlan(const Plan& plan, int schedule_index, const Te
   fault::Injector injector(plan.fault_plan);
 
   pcr::Runtime rt(config);
-  if (arena != nullptr) {
-    rt.tracer().AdoptEventBuffer(std::move(arena->trace_buffer));
-  }
+  rt.tracer().AdoptEventBuffer(std::move(arena.trace_buffer));
   TestContext ctx;
   if (plan.replay_mode) {
     rt.scheduler().set_perturber(&replayer);
@@ -106,12 +102,10 @@ ScheduleOutcome Explorer::RunPlan(const Plan& plan, int schedule_index, const Te
   if (consult_log != nullptr && !plan.replay_mode) {
     *consult_log = recorder.consult_log();
   }
-  if (arena != nullptr) {
-    // Everything that reads the trace (capture, detector, hash) has run; reclaim the buffer's
-    // capacity for this worker's next schedule. The runtime's fibers are already torn down
-    // (Shutdown above), so their stacks are parked in the arena pool by now too.
-    arena->trace_buffer = rt.tracer().TakeEventBuffer();
-  }
+  // Everything that reads the trace (capture, detector, hash) has run; reclaim the buffer's
+  // capacity for this worker's next run. The runtime's fibers are already torn down (Shutdown
+  // above), so their stacks are parked in the arena pool by now too.
+  arena.trace_buffer = rt.tracer().TakeEventBuffer();
   return outcome;
 }
 
@@ -138,17 +132,23 @@ void Explorer::FillOutcome(trace::Tracer& tracer, const TestContext& ctx,
     out->findings = AnalyzeTrace(tracer, options_.detector);
   }
   detector_ns_.fetch_add(NsSince(detector_start), std::memory_order_relaxed);
+  std::vector<uint64_t> prefix_hashes;
+  if (options_.collect_coverage) {
+    prefix_hashes = TracePrefixHashes(tracer, options_.coverage_stride);
+  }
   if (resume_hasher != nullptr) {
     TraceHasher hasher = *resume_hasher;
     for (const trace::Event& e : tracer.view(resume_events)) {
       hasher.Mix(e);
     }
     out->trace_hash = hasher.value();
+  } else if (options_.collect_coverage) {
+    out->trace_hash = prefix_hashes.back();  // covers the whole trace: one hash pass, not two
   } else {
     out->trace_hash = TraceHash(tracer);
   }
   if (options_.collect_coverage) {
-    out->coverage = TracePrefixHashes(tracer, options_.coverage_stride);
+    out->coverage = std::move(prefix_hashes);
     for (uint64_t& h : out->coverage) {
       h ^= options_.coverage_salt;  // scenario-scope the state fingerprints too
     }
@@ -207,14 +207,12 @@ bool WitnessEligible(const ScheduleOutcome& out, const RecordingPerturber& recor
 }  // namespace
 
 ScheduleOutcome Explorer::RunGroupMember(const GroupPlan& group, const std::vector<int>& path,
-                                         const TestBody& body, WorkerArena* arena,
+                                         const TestBody& body, WorkerArena& arena,
                                          MemberProbe* probe) {
   pcr::Config config = options_.base_config;
   config.seed = group.runtime_seed;
   config.trace_events = true;
-  if (arena != nullptr) {
-    config.stack_pool = &arena->stacks;
-  }
+  config.stack_pool = &arena.stacks;
 
   PerturbPolicy policy;
   policy.seed = group.q0;
@@ -225,9 +223,7 @@ ScheduleOutcome Explorer::RunGroupMember(const GroupPlan& group, const std::vect
   fault::Injector injector(group.fault_plan);
 
   pcr::Runtime rt(config);
-  if (arena != nullptr) {
-    rt.tracer().AdoptEventBuffer(std::move(arena->trace_buffer));
-  }
+  rt.tracer().AdoptEventBuffer(std::move(arena.trace_buffer));
   TestContext ctx;
   rt.scheduler().set_perturber(&recorder);
   if (group.fault_plan.enabled()) {
@@ -293,14 +289,12 @@ ScheduleOutcome Explorer::RunGroupMember(const GroupPlan& group, const std::vect
       probe->independent_tail_event = 0;
     }
   }
-  if (arena != nullptr) {
-    arena->trace_buffer = rt.tracer().TakeEventBuffer();
-  }
+  arena.trace_buffer = rt.tracer().TakeEventBuffer();
   return outcome;
 }
 
 void Explorer::RunGroupReplay(const GroupPlan& group, const TestBody& body,
-                              std::vector<ScheduleOutcome>* outcomes, WorkerArena* arena) {
+                              std::vector<ScheduleOutcome>* outcomes, WorkerArena& arena) {
   outcomes->assign(static_cast<size_t>(group.members), ScheduleOutcome{});
   const int levels = static_cast<int>(group.depths.size());
   PerturbPolicy policy;  // ClassifyLeaf reads only the probabilities
@@ -423,15 +417,13 @@ void Explorer::RunGroupReplay(const GroupPlan& group, const TestBody& body,
 }
 
 bool Explorer::RunGroupCheckpoint(const GroupPlan& group, const TestBody& body,
-                                  std::vector<ScheduleOutcome>* outcomes, WorkerArena* arena) {
+                                  std::vector<ScheduleOutcome>* outcomes, WorkerArena& arena) {
   outcomes->assign(static_cast<size_t>(group.members), ScheduleOutcome{});
 
   pcr::Config config = options_.base_config;
   config.seed = group.runtime_seed;
   config.trace_events = true;
-  if (arena != nullptr) {
-    config.stack_pool = &arena->stacks;
-  }
+  config.stack_pool = &arena.stacks;
 
   PerturbPolicy policy;
   policy.seed = group.q0;
@@ -444,9 +436,7 @@ bool Explorer::RunGroupCheckpoint(const GroupPlan& group, const TestBody& body,
   fault::Injector injector(group.fault_plan);
 
   pcr::Runtime rt(config);
-  if (arena != nullptr) {
-    rt.tracer().AdoptEventBuffer(std::move(arena->trace_buffer));
-  }
+  rt.tracer().AdoptEventBuffer(std::move(arena.trace_buffer));
   TestContext ctx;
   rt.scheduler().set_perturber(&recorder);
   if (group.fault_plan.enabled()) {
@@ -470,8 +460,6 @@ bool Explorer::RunGroupCheckpoint(const GroupPlan& group, const TestBody& body,
   recorder.SetSegmentBoundaries(group.depths);
   recorder.set_segment_hook(&segment_hook);
 
-  pcr::StackPool local_stacks;
-  pcr::StackPool& exec_stacks = arena != nullptr ? arena->stacks : local_stacks;
   pcr::Fiber exec(
       [&] {
         try {
@@ -486,7 +474,7 @@ bool Explorer::RunGroupCheckpoint(const GroupPlan& group, const TestBody& body,
           // already shut the simulated threads down.
         }
       },
-      exec_stacks.Acquire(kExecStackBytes), &exec_stacks);
+      arena.stacks.Acquire(kExecStackBytes), &arena.stacks);
   rt.scheduler().set_checkpoint_hook([&exec] { exec.Suspend(); });
 
   // A fiber can pause mid-unwind: ~MonitorGuard's Exit charges virtual time. The exception in
@@ -748,9 +736,7 @@ bool Explorer::RunGroupCheckpoint(const GroupPlan& group, const TestBody& body,
   trace::MetricAdd(m_saves, group_saves);
   trace::MetricAdd(m_resumes, group_resumes);
   trace::MetricAdd(m_bytes, group_bytes);
-  if (arena != nullptr) {
-    arena->trace_buffer = rt.tracer().TakeEventBuffer();
-  }
+  arena.trace_buffer = rt.tracer().TakeEventBuffer();
   if (exception_in_flight) {
     return false;  // the outcomes and pruning counts come from the from-zero recompute
   }
@@ -780,6 +766,8 @@ bool Explorer::SameFailure(const ScheduleOutcome& a, const ScheduleOutcome& b) {
 
 ScheduleOutcome Explorer::Minimize(const ScheduleOutcome& outcome, const TestBody& body,
                                    WorkerArena* arena) {
+  WorkerArena local;
+  WorkerArena& warm = arena != nullptr ? *arena : local;
   std::string scenario;
   uint64_t runtime_seed = 0;
   std::vector<Decision> decisions;
@@ -801,7 +789,7 @@ ScheduleOutcome Explorer::Minimize(const ScheduleOutcome& outcome, const TestBod
     plan.replay = candidate;
     plan.replay_mode = true;
     plan.fault_plan = candidate_faults;
-    ScheduleOutcome attempt = RunPlan(plan, outcome.schedule_index, body, nullptr, arena);
+    ScheduleOutcome attempt = RunPlan(plan, outcome.schedule_index, body, warm);
     if (SameFailure(outcome, attempt)) {
       *result = std::move(attempt);
       return true;
@@ -872,7 +860,7 @@ ScheduleOutcome Explorer::Minimize(const ScheduleOutcome& outcome, const TestBod
 }
 
 ScheduleOutcome Explorer::Replay(const std::string& repro, const TestBody& body,
-                                 trace::Tracer* capture) {
+                                 trace::Tracer* capture, WorkerArena* arena) {
   std::string scenario;
   std::string fault_text;
   Plan plan;
@@ -881,7 +869,8 @@ ScheduleOutcome Explorer::Replay(const std::string& repro, const TestBody& body,
     throw pcr::UsageError("malformed repro string: " + repro);
   }
   plan.fault_plan = fault::Plan::Decode(fault_text);  // throws UsageError on a bad field
-  return RunPlan(plan, -1, body, capture);
+  WorkerArena local;
+  return RunPlan(plan, -1, body, arena != nullptr ? *arena : local, capture);
 }
 
 ExploreResult Explorer::Explore(const TestBody& body) {
@@ -920,7 +909,7 @@ ExploreResult Explorer::Explore(const TestBody& body) {
   baseline_plan.runtime_seed = options_.base_config.seed;
   baseline_plan.fault_plan = options_.fault_plan;  // verbatim: the reference fault run
   std::vector<ConsultRecord> baseline_log;
-  result.baseline = RunPlan(baseline_plan, 0, body, nullptr, arenas[0].get(), &baseline_log);
+  result.baseline = RunPlan(baseline_plan, 0, body, *arenas[0], nullptr, &baseline_log);
   result.profile.baseline_sec = SecSince(total_start);
   result.schedules_run = 1;
   note_hash(result.baseline.trace_hash);
@@ -1073,9 +1062,9 @@ ExploreResult Explorer::Explore(const TestBody& body) {
   std::vector<std::vector<ScheduleOutcome>> group_outcomes(groups.size());
   const auto sweep_start = ProfileClock::now();
   pool.Run(groups.size(), [&](size_t worker, size_t g) {
-    if (!use_checkpoint ||
-        !RunGroupCheckpoint(groups[g], body, &group_outcomes[g], arenas[worker].get())) {
-      RunGroupReplay(groups[g], body, &group_outcomes[g], arenas[worker].get());
+    WorkerArena& arena = *arenas[worker];
+    if (!use_checkpoint || !RunGroupCheckpoint(groups[g], body, &group_outcomes[g], arena)) {
+      RunGroupReplay(groups[g], body, &group_outcomes[g], arena);
     }
   });
   result.profile.sweep_sec = SecSince(sweep_start);

@@ -169,6 +169,19 @@ struct ExploreResult {
   ExploreProfile profile;
 };
 
+// Warm capacity one pool worker carries from run to run: guard-paged stacks and the trace
+// event buffer, the two dominant per-Runtime allocations. Explore keeps one per pool worker for
+// the call; the campaign keeps one per pool worker for its lifetime. Only *capacity* is
+// recycled: a recycled stack still holds its last user's bytes, but no defined behaviour reads
+// stack memory before writing it, so a warm arena and a fresh one produce byte-identical
+// outcomes — which is what keeps results independent of worker count. The symbol table is
+// deliberately not here: interning order differs per schedule, so reuse would leak state. Used
+// by one OS thread at a time.
+struct WorkerArena {
+  pcr::StackPool stacks;
+  trace::SegmentArena trace_buffer;
+};
+
 class Explorer {
  public:
   explicit Explorer(ExploreOptions options = {});
@@ -179,17 +192,18 @@ class Explorer {
   // Re-executes the schedule described by `repro` (scenario field ignored here). Throws
   // pcr::UsageError on a malformed repro string. With `capture` non-null, the replayed run's
   // full event stream and symbol table are copied into it (the tracer's prior events are kept;
-  // its symbol table is replaced) — the hook pcrcheck uses to export failing schedules.
+  // its symbol table is replaced) — the hook pcrcheck uses to export failing schedules. With
+  // `arena` non-null the run draws its stacks and trace buffer from it (a fresh local arena
+  // otherwise); the outcome is the same either way.
   ScheduleOutcome Replay(const std::string& repro, const TestBody& body,
-                         trace::Tracer* capture = nullptr);
+                         trace::Tracer* capture = nullptr, WorkerArena* arena = nullptr);
 
   // Prefix-truncates and zeroes decisions (and shrinks fault plans to the fired script) while
   // the same bug keeps reproducing. Public so the campaign can minimize crashing corpus
   // entries with the exact path pcrcheck failures already use; deterministic (bounded replay
-  // budget, no randomness).
-  ScheduleOutcome Minimize(const ScheduleOutcome& outcome, const TestBody& body) {
-    return Minimize(outcome, body, nullptr);
-  }
+  // budget, no randomness). `arena` as for Replay.
+  ScheduleOutcome Minimize(const ScheduleOutcome& outcome, const TestBody& body,
+                           WorkerArena* arena = nullptr);
 
   const ExploreOptions& options() const { return options_; }
 
@@ -200,16 +214,6 @@ class Explorer {
     std::vector<Decision> replay;
     bool replay_mode = false;
     fault::Plan fault_plan;              // installed for the run when enabled()
-  };
-
-  // Warm capacity one pool worker carries from schedule to schedule within an Explore call:
-  // guard-paged stacks and the trace event buffer, the two dominant per-Runtime allocations.
-  // Only *capacity* is recycled — a recycled arena and a fresh one produce byte-identical
-  // outcomes, which is what keeps results independent of worker count. The symbol table is
-  // deliberately not here: interning order differs per schedule, so reuse would leak state.
-  struct WorkerArena {
-    pcr::StackPool stacks;
-    trace::SegmentArena trace_buffer;
   };
 
   // One prefix-grouped work unit: up to prod(fanout) consecutive schedules sharing the
@@ -259,7 +263,7 @@ class Explorer {
 
  private:
   ScheduleOutcome RunPlan(const Plan& plan, int schedule_index, const TestBody& body,
-                          trace::Tracer* capture = nullptr, WorkerArena* arena = nullptr,
+                          WorkerArena& arena, trace::Tracer* capture = nullptr,
                           std::vector<ConsultRecord>* consult_log = nullptr);
   // Group execution: checkpoint-and-branch (O(suffix) per schedule) or from-zero replay of the
   // same plans. Both fill `outcomes` (size group.members, flat order) with byte-identical
@@ -267,14 +271,14 @@ class Explorer {
   // with an exception in flight (a fiber suspended mid-unwind, which no Checkpoint can
   // capture); the caller then recomputes the group from zero, overwriting `outcomes`.
   bool RunGroupCheckpoint(const GroupPlan& group, const TestBody& body,
-                          std::vector<ScheduleOutcome>* outcomes, WorkerArena* arena);
+                          std::vector<ScheduleOutcome>* outcomes, WorkerArena& arena);
   void RunGroupReplay(const GroupPlan& group, const TestBody& body,
-                      std::vector<ScheduleOutcome>* outcomes, WorkerArena* arena);
+                      std::vector<ScheduleOutcome>* outcomes, WorkerArena& arena);
   // From-zero execution of one group member on the calling frame. `path` gives the member's
   // per-level coordinates (path.size() == group.depths.size()); `probe` receives the run's
   // segment telemetry (and dpor witness data when group.dpor and the path ends in leaf 0).
   ScheduleOutcome RunGroupMember(const GroupPlan& group, const std::vector<int>& path,
-                                 const TestBody& body, WorkerArena* arena, MemberProbe* probe);
+                                 const TestBody& body, WorkerArena& arena, MemberProbe* probe);
   // Shared post-run analysis: detector, trace hash, coverage, repro encoding. When the caller
   // already holds the running hash of a trace prefix (checkpointed groups hash the shared
   // prefix once), resume_hasher/resume_events let the trace hash continue from it instead of
@@ -288,8 +292,6 @@ class Explorer {
                    uint64_t runtime_seed, const fault::Plan& fault_plan, int schedule_index,
                    ScheduleOutcome* out, const TraceHasher* resume_hasher = nullptr,
                    size_t resume_events = 0, const TraceAnalyzer* resume_analyzer = nullptr);
-  ScheduleOutcome Minimize(const ScheduleOutcome& outcome, const TestBody& body,
-                           WorkerArena* arena);
   static bool SameFailure(const ScheduleOutcome& a, const ScheduleOutcome& b);
 
   ExploreOptions options_;

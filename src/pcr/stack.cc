@@ -177,9 +177,6 @@ void StackPool::Release(FiberStack stack) {
 #ifdef PCR_ASAN_STACKS
   __asan_unpoison_memory_region(stack.base(), stack.size());
 #endif
-  // Parked stacks hold address space but no memory: DONTNEED on an anonymous private mapping
-  // drops the pages now and refaults them zero-filled on next use.
-  madvise(stack.base(), stack.size(), MADV_DONTNEED);
   stats_.pooled_bytes += stack.reserved_bytes();
   if (stats_.pooled_bytes > stats_.peak_pooled_bytes) {
     stats_.peak_pooled_bytes = stats_.pooled_bytes;

@@ -4,11 +4,11 @@
 // stack overflow faults instead of silently corrupting a neighboring thread's stack — the
 // failure mode the paper's task-rejuvenation paradigm (Section 4.5) exists to recover from.
 //
-// Creating a stack is two syscalls (mmap + mprotect) and tearing one down is a third; for the
-// fork-heavy workloads the paper describes (Cedar forks thousands of short-lived threads,
-// Table 1) that cost dominates fiber creation. StackPool recycles released stacks on free
-// lists keyed by size class so a FORK usually reuses an existing mapping, paying only an
-// madvise-marked-clean page fault instead of a fresh mapping.
+// Creating a stack is two syscalls (mmap + mprotect) plus a page fault per page touched, and
+// tearing one down is a third syscall; for the fork-heavy workloads the paper describes (Cedar
+// forks thousands of short-lived threads, Table 1) that cost dominates fiber creation.
+// StackPool recycles released stacks on free lists keyed by size class, pages and all, so a
+// FORK usually reuses a mapping whose pages are already resident: no syscall, no fault.
 
 #ifndef SRC_PCR_STACK_H_
 #define SRC_PCR_STACK_H_
@@ -80,8 +80,9 @@ struct StackPoolStats {
 };
 
 // Free lists of guard-paged stacks, keyed by usable size class. Thread-compatible, not
-// thread-safe: each scheduler (and each explorer worker) owns its own pool. Pooled stacks are
-// madvise(MADV_DONTNEED)'d on release, so parking a stack costs address space but no RSS.
+// thread-safe: each scheduler (and each explorer or campaign worker) owns its own pool. A
+// parked stack keeps the pages it held while it was live, so it costs no RSS beyond what its
+// users already had resident, and a recycled stack starts with its last user's bytes.
 class StackPool {
  public:
   // `max_pooled_bytes` caps reserved address space parked on free lists; releases past the cap
@@ -113,8 +114,9 @@ class StackPool {
   void set_max_live_bytes(size_t bytes) { max_live_bytes_ = bytes; }
   size_t max_live_bytes() const { return max_live_bytes_; }
 
-  // Hands a stack back for reuse. The usable region is madvised clean so a parked stack holds
-  // no RSS; the guard page stays in place.
+  // Hands a stack back for reuse, contents as its user left them (under ASan, with the shadow
+  // unpoisoned); the guard page stays in place. Past max_pooled_bytes the stack is unmapped
+  // instead.
   void Release(FiberStack stack);
 
   // Unmaps every parked stack (checked-out stacks are unaffected).

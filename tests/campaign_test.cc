@@ -1,7 +1,8 @@
 // Tests for the coverage-guided fuzzing campaign (src/explore/campaign.h): corpus round-trips
 // through disk, the mutator is deterministic, coverage deduplication makes replay-only passes
 // converge, minimized crash entries keep failing, corpus evolution is worker-count invariant,
-// and the repro codec's 4-field/5-field compatibility holds under fuzzed input.
+// a warm WorkerArena replays like a fresh one, a coverage run's trace hash is its last prefix
+// hash, and the repro codec's 4-field/5-field compatibility holds under fuzzed input.
 
 #include <gtest/gtest.h>
 
@@ -17,10 +18,12 @@
 #include "src/explore/campaign.h"
 #include "src/explore/corpus.h"
 #include "src/explore/explorer.h"
+#include "src/explore/hash.h"
 #include "src/explore/repro.h"
 #include "src/explore/scenarios.h"
 #include "src/fault/fault.h"
 #include "src/pcr/errors.h"
+#include "src/trace/tracer.h"
 
 namespace {
 
@@ -265,6 +268,109 @@ TEST(CampaignTest, StatusJsonIsWrittenAndWellFormed) {
                           "\"pruned_schedules\""}) {
     EXPECT_NE(text.find(key), std::string::npos) << "missing " << key << " in:\n" << text;
   }
+}
+
+// --- warm arenas and the one-pass trace hash --------------------------------------------------
+
+// An Explorer configured the way Campaign configures each scenario slot.
+explore::Explorer CampaignExplorer(const explore::BugScenario& scenario) {
+  explore::ExploreOptions options = scenario.options;
+  options.scenario_name = scenario.name;
+  options.collect_coverage = true;
+  options.coverage_salt = explore::Corpus::ContentHash(scenario.name);
+  return explore::Explorer(options);
+}
+
+// Replays `repro` on its scenario's campaign explorer, through `arena` when non-null.
+explore::ScheduleOutcome CampaignReplay(const std::string& repro, explore::WorkerArena* arena) {
+  explore::CampaignInput input;
+  EXPECT_TRUE(explore::CampaignInput::Decode(repro, &input)) << repro;
+  const explore::BugScenario* scenario = explore::FindScenario(input.scenario);
+  EXPECT_NE(scenario, nullptr) << repro;
+  if (scenario == nullptr) {
+    return {};
+  }
+  return CampaignExplorer(*scenario).Replay(repro, scenario->body, nullptr, arena);
+}
+
+void ExpectSameOutcome(const explore::ScheduleOutcome& fresh,
+                       const explore::ScheduleOutcome& warm) {
+  EXPECT_EQ(fresh.trace_hash, warm.trace_hash);
+  EXPECT_EQ(fresh.coverage, warm.coverage);
+  ASSERT_EQ(fresh.findings.size(), warm.findings.size());
+  for (size_t i = 0; i < fresh.findings.size(); ++i) {
+    const explore::Finding& a = fresh.findings[i];
+    const explore::Finding& b = warm.findings[i];
+    EXPECT_EQ(std::tie(a.kind, a.object, a.thread_a, a.thread_b, a.time_us, a.detail),
+              std::tie(b.kind, b.object, b.thread_a, b.thread_b, b.time_us, b.detail))
+        << "finding " << i;
+  }
+  EXPECT_EQ(fresh.failures, warm.failures);
+  EXPECT_EQ(fresh.repro, warm.repro);
+}
+
+// A WorkerArena carries capacity only. Recycled stacks keep their last user's bytes, here those
+// of a fiber an injected thread death killed mid-unwind, yet every committed corpus entry and
+// crash replays on the warm arena exactly as on a fresh one.
+TEST(WorkerArenaTest, WarmArenaReplaysTheCommittedCorpusLikeAFreshOne) {
+  explore::Corpus corpus(PCR_CORPUS_DIR, /*read_only=*/true);
+  std::vector<std::string> errors;
+  ASSERT_TRUE(corpus.Load(&errors));
+  ASSERT_TRUE(errors.empty()) << errors.front();
+  std::vector<std::string> inputs = corpus.entries();
+  inputs.insert(inputs.end(), corpus.crashes().begin(), corpus.crashes().end());
+  ASSERT_FALSE(inputs.empty());
+
+  const std::string death = "pcr1:buggy_monitor:1::f1,rate=0.05,sites=thread-death,seed=3";
+  explore::WorkerArena shared;
+  explore::ScheduleOutcome died = CampaignReplay(death, &shared);
+  ASSERT_TRUE(std::any_of(died.fired_faults.begin(), died.fired_faults.end(),
+                          [](const fault::ScriptedFault& f) {
+                            return f.site == fault::FaultSite::kThreadDeath;
+                          }))
+      << "the warm-up input must kill a thread: " << died.repro;
+  for (const std::string& repro : inputs) {
+    (void)CampaignReplay(repro, &shared);
+  }
+  for (const std::string& repro : inputs) {
+    SCOPED_TRACE(repro);
+    (void)CampaignReplay(death, &shared);
+    ExpectSameOutcome(CampaignReplay(repro, nullptr), CampaignReplay(repro, &shared));
+  }
+  EXPECT_GT(shared.stacks.stats().pool_hits, 0u);
+}
+
+// FillOutcome takes a coverage run's trace hash from its last prefix hash, which covers the
+// whole trace, so the two must agree whether or not the stride divides the event count.
+TEST(TraceHashTest, LastPrefixHashIsTheTraceHash) {
+  trace::Tracer tracer;
+  EXPECT_EQ(explore::TracePrefixHashes(tracer, 4).back(), explore::TraceHash(tracer))
+      << "empty trace";
+  for (uint64_t i = 0; i < 12; ++i) {
+    trace::Event e;
+    e.time_us = static_cast<trace::Usec>(10 * i);
+    e.thread = i % 3;
+    e.object = i;
+    e.arg = i * i;
+    tracer.Record(e);
+  }
+  for (size_t stride : {size_t{4}, size_t{5}}) {
+    std::vector<uint64_t> prefixes = explore::TracePrefixHashes(tracer, stride);
+    EXPECT_EQ(prefixes.size(), (12 + stride - 1) / stride) << "stride " << stride;
+    EXPECT_EQ(prefixes.back(), explore::TraceHash(tracer)) << "stride " << stride;
+  }
+}
+
+TEST(TraceHashTest, CoverageCollectionDoesNotChangeTheTraceHash) {
+  const explore::BugScenario* scenario = explore::FindScenario("buggy_monitor");
+  ASSERT_NE(scenario, nullptr);
+  const std::string repro = "pcr1:buggy_monitor:1:0r4x3";
+  explore::Explorer plain_explorer(scenario->options);
+  explore::ScheduleOutcome plain = plain_explorer.Replay(repro, scenario->body);
+  explore::ScheduleOutcome covered = CampaignExplorer(*scenario).Replay(repro, scenario->body);
+  EXPECT_TRUE(plain.coverage.empty());
+  EXPECT_FALSE(covered.coverage.empty());
+  EXPECT_EQ(plain.trace_hash, covered.trace_hash);
 }
 
 // --- repro 4-field / 5-field compatibility ------------------------------------------------------

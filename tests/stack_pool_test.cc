@@ -45,7 +45,7 @@ TEST(StackPoolTest, ReleaseThenAcquireReusesTheMapping) {
 }
 
 TEST(StackPoolTest, RecycledStackIsWritable) {
-  // madvise(MADV_DONTNEED) must leave the pages refaultable, not gone.
+  // A parked stack keeps its mapping and pages: the recycled one must still be writable.
   StackPool pool;
   {
     FiberStack stack = pool.Acquire(16 * 1024);

@@ -171,13 +171,15 @@ python3 "$ROOT/tools/bench_history.py" \
 # exercises fibers hardest: thousands of schedules, stack recycling, determinism at several
 # worker counts) so it cannot rot while the assembly path is the everyday default. The
 # behaviour lock runs here too: charges that advance the clock in place must give the same
-# outputs on either switch path.
+# outputs on either switch path. So does the campaign suite: campaign replays recycle each
+# worker's arena, so its stacks are reused by fibers on either switch path.
 BUILD_UCONTEXT=${BUILD_UCONTEXT:-"$ROOT/build-ci-ucontext"}
 echo "== Release build with -DPCR_FIBER_UCONTEXT=ON"
 cmake -B "$BUILD_UCONTEXT" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release \
   -DPCR_FIBER_UCONTEXT=ON > /dev/null
 cmake --build "$BUILD_UCONTEXT" -j"$JOBS"
 (cd "$BUILD_UCONTEXT" && ctest --output-on-failure -j"$JOBS" -L explore)
+(cd "$BUILD_UCONTEXT" && ctest --output-on-failure -j"$JOBS" -L campaign)
 (cd "$BUILD_UCONTEXT" && ctest --output-on-failure -L lock)
 (cd "$BUILD_UCONTEXT" && bench/bench_fiber_switch --require-speedup=5)  # prints the auto-skip
 
