@@ -93,12 +93,13 @@ ScheduleOutcome Explorer::RunPlan(const Plan& plan, int schedule_index, const Te
     }
   }
 
-  FillOutcome(rt.tracer(), ctx,
-              TrimTrailingDefaults(plan.replay_mode ? replayer.consumed()
-                                                    : recorder.decisions()),
-              recorder.preempt_points_seen(),
-              plan.replay_mode ? 0 : recorder.total_consults(), injector.fired(),
-              plan.runtime_seed, plan.fault_plan, schedule_index, &outcome);
+  FillOutcome(rt.tracer(), ctx, recorder.preempt_points_seen(),
+              plan.replay_mode ? 0 : recorder.total_consults(), injector.fired(), schedule_index,
+              &outcome);
+  // Every outcome carries its repro here, passing or not: the campaign stores the repros of
+  // passing replays as corpus entries.
+  outcome.repro = Repro(plan.replay_mode ? replayer.consumed() : recorder.decisions(),
+                        plan.runtime_seed, plan.fault_plan);
   if (consult_log != nullptr && !plan.replay_mode) {
     *consult_log = recorder.consult_log();
   }
@@ -110,11 +111,9 @@ ScheduleOutcome Explorer::RunPlan(const Plan& plan, int schedule_index, const Te
 }
 
 void Explorer::FillOutcome(trace::Tracer& tracer, const TestContext& ctx,
-                           const std::vector<Decision>& decisions, uint64_t preempt_points,
-                           uint64_t total_decisions,
-                           const std::vector<fault::ScriptedFault>& fired,
-                           uint64_t runtime_seed, const fault::Plan& fault_plan,
-                           int schedule_index, ScheduleOutcome* out,
+                           uint64_t preempt_points, uint64_t total_decisions,
+                           const std::vector<fault::ScriptedFault>& fired, int schedule_index,
+                           ScheduleOutcome* out,
                            const TraceHasher* resume_hasher, size_t resume_events,
                            const TraceAnalyzer* resume_analyzer) {
   out->schedule_index = schedule_index;
@@ -168,17 +167,20 @@ void Explorer::FillOutcome(trace::Tracer& tracer, const TestContext& ctx,
   out->preempt_points = preempt_points;
   out->total_decisions = total_decisions;
   out->fired_faults = fired;
-  out->repro = EncodeRepro(options_.scenario_name, runtime_seed, decisions,
-                           fault_plan.enabled() ? fault_plan.Encode() : std::string());
+}
+
+std::string Explorer::Repro(const std::vector<Decision>& decisions, uint64_t runtime_seed,
+                            const fault::Plan& fault_plan) const {
+  return EncodeRepro(options_.scenario_name, runtime_seed, TrimTrailingDefaults(decisions),
+                     fault_plan.enabled() ? fault_plan.Encode() : std::string());
 }
 
 namespace {
 
-// Copies one group member's outcome into another cell of the same group; everything but the
-// schedule index is byte-identical by construction (shared prefix + matching fingerprint).
-void CopyOutcome(const ScheduleOutcome& src, int schedule_index, ScheduleOutcome* dst) {
-  *dst = src;
-  dst->schedule_index = schedule_index;
+// Fills a pruned cell from the cell that stands in for it: the trace hash is all the merge
+// reads of it (see RunGroupCheckpoint in explorer.h).
+void MarkPruned(const ScheduleOutcome& src, ScheduleOutcome* dst) {
+  dst->trace_hash = src.trace_hash;
 }
 
 // Exec-fiber stack: holds the scenario body's own frame plus the scheduler run loop, while
@@ -272,9 +274,11 @@ ScheduleOutcome Explorer::RunGroupMember(const GroupPlan& group, const std::vect
     cell += path[l] * SubtreeStride(group.fanout, l + 1);
   }
   ScheduleOutcome outcome;
-  FillOutcome(rt.tracer(), ctx, TrimTrailingDefaults(recorder.decisions()),
-              recorder.preempt_points_seen(), recorder.total_consults(), injector.fired(),
-              group.runtime_seed, group.fault_plan, group.first_schedule + cell, &outcome);
+  FillOutcome(rt.tracer(), ctx, recorder.preempt_points_seen(), recorder.total_consults(),
+              injector.fired(), group.first_schedule + cell, &outcome);
+  if (outcome.failed) {
+    outcome.repro = Repro(recorder.decisions(), group.runtime_seed, group.fault_plan);
+  }
   if (probe != nullptr) {
     probe->reached = reached;
     probe->fingerprints = fingerprints;
@@ -319,9 +323,8 @@ void Explorer::RunGroupReplay(const GroupPlan& group, const TestBody& body,
           // every cell of the subtree is the same schedule. One execution covers them all.
           (*outcomes)[static_cast<size_t>(first_cell)] = std::move(out);
           for (int m = 1; m < node_cells; ++m) {
-            CopyOutcome((*outcomes)[static_cast<size_t>(first_cell)],
-                        group.first_schedule + first_cell + m,
-                        &(*outcomes)[static_cast<size_t>(first_cell + m)]);
+            MarkPruned((*outcomes)[static_cast<size_t>(first_cell)],
+                       &(*outcomes)[static_cast<size_t>(first_cell + m)]);
           }
           if (node_cells > 1) {
             pruned_.fetch_add(node_cells - 1, std::memory_order_relaxed);
@@ -342,9 +345,8 @@ void Explorer::RunGroupReplay(const GroupPlan& group, const TestBody& body,
                                        static_cast<uint64_t>(j)),
                                policy, sorted_points, witness);
               if (v != LeafVerdict::kExecute) {
-                CopyOutcome((*outcomes)[static_cast<size_t>(first_cell)],
-                            group.first_schedule + first_cell + j,
-                            &(*outcomes)[static_cast<size_t>(first_cell + j)]);
+                MarkPruned((*outcomes)[static_cast<size_t>(first_cell)],
+                           &(*outcomes)[static_cast<size_t>(first_cell + j)]);
                 pruned_.fetch_add(1, std::memory_order_relaxed);
                 if (v == LeafVerdict::kIdenticalPrune) {
                   dpor_pruned_.fetch_add(1, std::memory_order_relaxed);
@@ -397,9 +399,8 @@ void Explorer::RunGroupReplay(const GroupPlan& group, const TestBody& body,
               // counts must agree between modes).
               int src = first_cell + duplicate_of * stride;
               for (int j = 0; j < cells; ++j) {
-                CopyOutcome((*outcomes)[static_cast<size_t>(src + j)],
-                            group.first_schedule + child_first + j,
-                            &(*outcomes)[static_cast<size_t>(child_first + j)]);
+                MarkPruned((*outcomes)[static_cast<size_t>(src + j)],
+                           &(*outcomes)[static_cast<size_t>(child_first + j)]);
               }
               pruned_.fetch_add(cells, std::memory_order_relaxed);
               continue;
@@ -526,11 +527,13 @@ bool Explorer::RunGroupCheckpoint(const GroupPlan& group, const TestBody& body,
   auto fill_cell = [&](int cell, const TraceHasher* resume_hasher = nullptr,
                        size_t resume_events = 0,
                        const TraceAnalyzer* resume_analyzer = nullptr) {
-    FillOutcome(rt.tracer(), ctx, TrimTrailingDefaults(recorder.decisions()),
-                recorder.preempt_points_seen(), recorder.total_consults(), injector.fired(),
-                group.runtime_seed, group.fault_plan, group.first_schedule + cell,
-                &(*outcomes)[static_cast<size_t>(cell)], resume_hasher, resume_events,
-                resume_analyzer);
+    ScheduleOutcome& out = (*outcomes)[static_cast<size_t>(cell)];
+    FillOutcome(rt.tracer(), ctx, recorder.preempt_points_seen(), recorder.total_consults(),
+                injector.fired(), group.first_schedule + cell, &out, resume_hasher,
+                resume_events, resume_analyzer);
+    if (out.failed) {
+      out.repro = Repro(recorder.decisions(), group.runtime_seed, group.fault_plan);
+    }
   };
 
   const int levels = static_cast<int>(group.depths.size());
@@ -604,9 +607,8 @@ bool Explorer::RunGroupCheckpoint(const GroupPlan& group, const TestBody& body,
         LeafVerdict v = ClassifyLeaf(child_seed, policy, sorted_points,
                                      {wit_suffix.data(), wit_suffix.size(), wit_estar});
         if (v != LeafVerdict::kExecute) {
-          CopyOutcome((*outcomes)[static_cast<size_t>(first_cell)],
-                      group.first_schedule + child_first,
-                      &(*outcomes)[static_cast<size_t>(child_first)]);
+          MarkPruned((*outcomes)[static_cast<size_t>(first_cell)],
+                     &(*outcomes)[static_cast<size_t>(child_first)]);
           ++group_pruned;
           ++(v == LeafVerdict::kIdenticalPrune ? group_dpor : group_splice);
           continue;
@@ -632,9 +634,8 @@ bool Explorer::RunGroupCheckpoint(const GroupPlan& group, const TestBody& body,
         harvest();
         fill_cell(child_first, &at.hasher, at.events, &at.analyzer);
         for (int j = 1; j < cells; ++j) {
-          CopyOutcome((*outcomes)[static_cast<size_t>(child_first)],
-                      group.first_schedule + child_first + j,
-                      &(*outcomes)[static_cast<size_t>(child_first + j)]);
+          MarkPruned((*outcomes)[static_cast<size_t>(child_first)],
+                     &(*outcomes)[static_cast<size_t>(child_first + j)]);
         }
         group_pruned += cells - 1;
         if (leaf_level && c == 0 && group.dpor) {
@@ -666,9 +667,8 @@ bool Explorer::RunGroupCheckpoint(const GroupPlan& group, const TestBody& body,
       if (duplicate_of >= 0) {
         int src = first_cell + duplicate_of * stride;
         for (int j = 0; j < cells; ++j) {
-          CopyOutcome((*outcomes)[static_cast<size_t>(src + j)],
-                      group.first_schedule + child_first + j,
-                      &(*outcomes)[static_cast<size_t>(child_first + j)]);
+          MarkPruned((*outcomes)[static_cast<size_t>(src + j)],
+                     &(*outcomes)[static_cast<size_t>(child_first + j)]);
         }
         group_pruned += cells;
         continue;
@@ -692,8 +692,7 @@ bool Explorer::RunGroupCheckpoint(const GroupPlan& group, const TestBody& body,
       harvest();
       fill_cell(0);
       for (int m = 1; m < group.members; ++m) {
-        CopyOutcome((*outcomes)[0], group.first_schedule + m,
-                    &(*outcomes)[static_cast<size_t>(m)]);
+        MarkPruned((*outcomes)[0], &(*outcomes)[static_cast<size_t>(m)]);
       }
       group_pruned = group.members - 1;
     } else {

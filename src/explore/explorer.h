@@ -99,11 +99,11 @@ struct ExploreOptions {
   // DPOR-style leaf pruning (dpor.h): pre-simulate each candidate leaf's decision stream over
   // its executed sibling's consultation log and skip leaves that are provably the same
   // schedule (sleep set) or diverge only inside the independent tail (drain-tail elision).
-  // Pruning only ever copies *passing* witness outcomes, so reported failures — findings,
-  // hashes, repros — are byte-identical with this off; only distinct_schedules can differ
-  // (pruned leaves contribute their witness's hash instead of executing). Applies identically
-  // to checkpointed and from-zero execution; disabled automatically for fault-plan sweeps
-  // (injector state is interleaving-sensitive).
+  // Pruning only ever stands *passing* witnesses in for leaves, so reported failures —
+  // findings, hashes, repros — are byte-identical with this off; only distinct_schedules can
+  // differ (pruned leaves contribute their witness's hash instead of executing). Applies
+  // identically to checkpointed and from-zero execution; disabled automatically for
+  // fault-plan sweeps (injector state is interleaving-sensitive).
   bool dpor = true;
 };
 
@@ -141,9 +141,9 @@ struct ExploreProfile {
   int64_t stack_acquires = 0;
   int64_t stack_pool_hits = 0;
   // Checkpoint-and-branch counters (all zero with ExploreOptions::checkpoint off or
-  // unsupported). pruned_schedules counts schedules whose outcome was copied from an
-  // already-executed group member because their state fingerprints matched at the divergence
-  // point — they are included in schedules_run but cost no execution.
+  // unsupported). pruned_schedules counts schedules an already-executed group member stood in
+  // for because their state fingerprints matched at the divergence point — they are included
+  // in schedules_run but cost no execution.
   int64_t checkpoint_saves = 0;
   int64_t checkpoint_resumes = 0;
   int64_t checkpoint_bytes = 0;
@@ -270,6 +270,13 @@ class Explorer {
   // results and identical pruned counts. RunGroupCheckpoint returns false when the run paused
   // with an exception in flight (a fiber suspended mid-unwind, which no Checkpoint can
   // capture); the caller then recomputes the group from zero, overwriting `outcomes`.
+  //
+  // A cell holds only what the merge in Explore reads. An executed cell holds its outcome, with
+  // a repro only if it failed (the merge and Minimize read failing repros only). A pruned cell
+  // — state-hash dedup, a DPOR verdict or a collapsed subtree stood in for it — holds only its
+  // trace hash (schedule_index stays -1): its source is a lower-indexed cell of the same group,
+  // so the merge meets the source first, the copy can never be a new distinct failure, and its
+  // hash is already counted.
   bool RunGroupCheckpoint(const GroupPlan& group, const TestBody& body,
                           std::vector<ScheduleOutcome>* outcomes, WorkerArena& arena);
   void RunGroupReplay(const GroupPlan& group, const TestBody& body,
@@ -279,19 +286,21 @@ class Explorer {
   // segment telemetry (and dpor witness data when group.dpor and the path ends in leaf 0).
   ScheduleOutcome RunGroupMember(const GroupPlan& group, const std::vector<int>& path,
                                  const TestBody& body, WorkerArena& arena, MemberProbe* probe);
-  // Shared post-run analysis: detector, trace hash, coverage, repro encoding. When the caller
-  // already holds the running hash of a trace prefix (checkpointed groups hash the shared
-  // prefix once), resume_hasher/resume_events let the trace hash continue from it instead of
-  // rehashing from event zero — FNV continuation is value-identical to the full pass. The same
-  // boundary feeds resume_analyzer: a detector fold already carried to resume_events continues
-  // over the suffix only, and both are checked byte-identical against from-zero mode by the
-  // equivalence suite.
-  void FillOutcome(trace::Tracer& tracer, const TestContext& ctx,
-                   const std::vector<Decision>& decisions, uint64_t preempt_points,
+  // Shared post-run analysis: detector, trace hash, coverage, failures; the caller adds the
+  // repro (Repro) where one is read. When the caller already holds the running hash of a trace
+  // prefix (checkpointed groups hash the shared prefix once), resume_hasher/resume_events let
+  // the trace hash continue from it instead of rehashing from event zero — FNV continuation is
+  // value-identical to the full pass. The same boundary feeds resume_analyzer: a detector fold
+  // already carried to resume_events continues over the suffix only, and both are checked
+  // byte-identical against from-zero mode by the equivalence suite.
+  void FillOutcome(trace::Tracer& tracer, const TestContext& ctx, uint64_t preempt_points,
                    uint64_t total_decisions, const std::vector<fault::ScriptedFault>& fired,
-                   uint64_t runtime_seed, const fault::Plan& fault_plan, int schedule_index,
-                   ScheduleOutcome* out, const TraceHasher* resume_hasher = nullptr,
-                   size_t resume_events = 0, const TraceAnalyzer* resume_analyzer = nullptr);
+                   int schedule_index, ScheduleOutcome* out,
+                   const TraceHasher* resume_hasher = nullptr, size_t resume_events = 0,
+                   const TraceAnalyzer* resume_analyzer = nullptr);
+  // The repro string of a run: its decision stream with trailing defaults trimmed.
+  std::string Repro(const std::vector<Decision>& decisions, uint64_t runtime_seed,
+                    const fault::Plan& fault_plan) const;
   static bool SameFailure(const ScheduleOutcome& a, const ScheduleOutcome& b);
 
   ExploreOptions options_;

@@ -128,6 +128,12 @@ class Checkpointable {
   // Object storage address; must live on a checkpointed stack (or outlive all checkpoints).
   virtual void* CheckpointStorage() = 0;
   virtual size_t CheckpointStorageBytes() const = 0;
+
+ private:
+  friend class Scheduler;
+  // This object's index in the scheduler's registry, so that unregistering costs O(1). It rides
+  // the object's byte image, which Restore puts back together with the registry it indexes.
+  size_t registry_slot_ = 0;
 };
 
 // Snapshot of a Scheduler (+ tracer + exec fiber) at a quiescent pause point: taken from the

@@ -1,5 +1,6 @@
 #include "src/pcr/condition.h"
 
+#include <exception>
 #include <new>
 
 #include "src/trace/event.h"
@@ -50,8 +51,29 @@ bool Condition::Wait() {
   // CV's wait queue" (Section 2).
   lock_.ReleaseForWait();
   Usec deadline = timeout_ < 0 ? -1 : s.GridDeadline(timeout_);
+  // Shutdown unwind: a ThreadKilled leaving the released-monitor window below must leave the lock
+  // owned again, because the enclosing MonitorGuard will Exit. A destructor re-marks ownership
+  // instead of a catch-and-rethrow, whose rethrow would run both phases of the unwinder a second
+  // time on every kill. It recognizes the kill without a handler: entered with no exception in
+  // flight, the window raises nothing but ThreadKilled once shutdown has begun (BlockCurrent and
+  // the re-entry charge throw it on entry or on resume, before anything else can fail).
+  // Any other exception surfacing while the monitor is released — an injected thread death,
+  // deadlock verdict, or poison inside ReacquireAfterWait — unwinds WITHOUT ownership; the
+  // enclosing MonitorGuard detects that and skips its Exit. Force-acquiring then would steal
+  // the lock from a live owner mid-critical-section.
+  struct ReownOnKill {
+    MonitorLock& lock;
+    const bool entered_unwinding = std::uncaught_exceptions() > 0;
+    ~ReownOnKill() {
+      if (!entered_unwinding && std::uncaught_exceptions() > 0 &&
+          lock.scheduler().shutting_down() && !lock.HeldByCurrent()) {
+        lock.ForceAcquireForUnwind();
+      }
+    }
+  };
   bool timed_out;
-  try {
+  {
+    ReownOnKill reown{lock_};
     timed_out = s.BlockCurrent(BlockReason::kCondition, this, deadline);
     s.Emit(timed_out ? trace::EventType::kCvTimeout : trace::EventType::kCvNotified, id_, 0,
            name_sym_);
@@ -60,17 +82,7 @@ bool Condition::Wait() {
     ++(timed_out ? timeout_exits_ : notified_exits_);
     ThreadId notifier = timed_out ? kNoThread : me->notified_by;
     lock_.ReacquireAfterWait(notifier);
-  } catch (const ThreadKilled&) {
-    // Shutdown unwind: the enclosing MonitorGuard will Exit, so it must own the lock again.
-    if (!lock_.HeldByCurrent()) {
-      lock_.ForceAcquireForUnwind();
-    }
-    throw;
   }
-  // Any other exception surfacing while the monitor is released — an injected thread death,
-  // deadlock verdict, or poison inside ReacquireAfterWait — unwinds WITHOUT ownership; the
-  // enclosing MonitorGuard detects that and skips its Exit. Force-acquiring here instead would
-  // steal the lock from a live owner mid-critical-section.
   // Exploration point: a WAIT that has re-acquired the lock but not yet rechecked its predicate
   // — the window that separates IF-based waits from WHILE-based waits (Section 5.3).
   s.MaybeForcePreempt(PreemptPoint::kWaitReturn);

@@ -229,8 +229,8 @@ void MonitorLock::Poison() {
 
 void MonitorLock::ForceAcquireForUnwind() {
   SetOwner(scheduler_.current());
-  // Outside shutdown (e.g. an injected thread death unwinding out of WAIT) the eventual Exit
-  // records a hold time; stamp the acquisition so it isn't measured from a stale timestamp.
+  // Only a shutdown kill leaving WAIT takes this path, and ReleaseInternal records no hold time
+  // while shutting down; the stamp just keeps acquired_at_ from going stale.
   acquired_at_ = scheduler_.now();
 }
 

@@ -120,8 +120,8 @@ class MonitorGuard {
   // there when the runtime shuts down unwinds with ThreadKilled *out of this destructor*.
   // An exception can also unwind out of WAIT while the monitor is released (injected thread
   // death, deadlock verdict, poison): then this thread does not own the lock — possibly a live
-  // peer does — and Exit must be skipped, not forced (shutdown's ThreadKilled path instead
-  // re-marks ownership before unwinding, so it still Exits normally here).
+  // peer does — and Exit must be skipped, not forced (a shutdown kill instead has ownership
+  // re-marked as it leaves WAIT, so it still Exits normally here).
   ~MonitorGuard() noexcept(false) {
     if (std::uncaught_exceptions() > 0 && !lock_.HeldByCurrent()) {
       return;

@@ -685,14 +685,22 @@ void Scheduler::ThrowIfCheckpointAborted() {
 }
 
 void Scheduler::RegisterCheckpointable(Checkpointable* object) {
+  object->registry_slot_ = checkpointables_.size();
   checkpointables_.push_back(object);
 }
 
 void Scheduler::UnregisterCheckpointable(Checkpointable* object) {
-  auto it = std::find(checkpointables_.begin(), checkpointables_.end(), object);
-  if (it != checkpointables_.end()) {
-    checkpointables_.erase(it);
+  // O(1) in any order: the last entry moves into the vacated slot. Registry order carries no
+  // meaning, since each object saves and restores only itself. An object whose entry a Restore
+  // already dropped (it registered after the snapshot) is not found at its slot and is skipped.
+  const size_t slot = object->registry_slot_;
+  if (slot >= checkpointables_.size() || checkpointables_[slot] != object) {
+    return;
   }
+  Checkpointable* last = checkpointables_.back();
+  checkpointables_[slot] = last;
+  last->registry_slot_ = slot;
+  checkpointables_.pop_back();
 }
 
 void Scheduler::UnpinFiber(ThreadId tid) {

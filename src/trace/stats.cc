@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 #include <sstream>
 #include <vector>
 
@@ -18,6 +17,39 @@ struct ProcessorRun {
   Usec since = 0;
 };
 
+// Counts distinct object ids without a tree node per event. Runtime ids are small and dense
+// (Scheduler::NextObjectId counts up from 1), so ids below kDenseLimit are marked in a bitmap
+// sized to the largest such id seen — at most kDenseLimit bits. Loaded or hand-built traces may
+// carry any 64-bit id; the rest are collected and deduplicated once, in Count().
+class DistinctIds {
+ public:
+  void Add(ObjectId id) {
+    if (id >= kDenseLimit) {
+      sparse_.push_back(id);
+      return;
+    }
+    const size_t word = static_cast<size_t>(id / 64);
+    if (word >= dense_.size()) {
+      dense_.resize(std::min(kDenseWords, std::max(word + 1, 2 * dense_.size())), 0);
+    }
+    const uint64_t bit = uint64_t{1} << (id % 64);
+    dense_count_ += (dense_[word] & bit) == 0;
+    dense_[word] |= bit;
+  }
+
+  int64_t Count() {
+    std::sort(sparse_.begin(), sparse_.end());
+    return dense_count_ + (std::unique(sparse_.begin(), sparse_.end()) - sparse_.begin());
+  }
+
+ private:
+  static constexpr ObjectId kDenseLimit = ObjectId{1} << 20;  // a 128 KiB bitmap at most
+  static constexpr size_t kDenseWords = kDenseLimit / 64;
+  std::vector<uint64_t> dense_;
+  int64_t dense_count_ = 0;
+  std::vector<ObjectId> sparse_;
+};
+
 }  // namespace
 
 Summary Summarize(const Tracer& tracer, const StatsOptions& options) {
@@ -31,8 +63,8 @@ Summary Summarize(const Tracer& tracer, const StatsOptions& options) {
   s.window_us = end - begin;
   s.exec_intervals = Histogram(options.interval_bucket_us, options.interval_buckets);
 
-  std::set<ObjectId> cvs;
-  std::set<ObjectId> mls;
+  DistinctIds cvs;
+  DistinctIds mls;
   std::map<uint16_t, ProcessorRun> runs;
   std::map<ThreadId, std::pair<Usec, uint32_t>> cpu_by_thread;  // cpu time, name symbol
   int live = 0;
@@ -102,7 +134,7 @@ Summary Summarize(const Tracer& tracer, const StatsOptions& options) {
       case EventType::kMlEnter:
         if (in_window) {
           ++s.ml_enters;
-          mls.insert(e.object);
+          mls.Add(e.object);
         }
         break;
       case EventType::kMlContend:
@@ -112,7 +144,7 @@ Summary Summarize(const Tracer& tracer, const StatsOptions& options) {
         break;
       case EventType::kCvWait:
         if (in_window) {
-          cvs.insert(e.object);
+          cvs.Add(e.object);
         }
         break;
       case EventType::kCvTimeout:
@@ -162,8 +194,8 @@ Summary Summarize(const Tracer& tracer, const StatsOptions& options) {
     account_run(run, end);
   }
 
-  s.distinct_cvs = static_cast<int64_t>(cvs.size());
-  s.distinct_mls = static_cast<int64_t>(mls.size());
+  s.distinct_cvs = cvs.Count();
+  s.distinct_mls = mls.Count();
 
   for (const auto& [tid, cpu] : cpu_by_thread) {
     s.busiest_threads.push_back(

@@ -2,7 +2,8 @@
 // through disk, the mutator is deterministic, coverage deduplication makes replay-only passes
 // converge, minimized crash entries keep failing, corpus evolution is worker-count invariant,
 // a warm WorkerArena replays like a fresh one, a coverage run's trace hash is its last prefix
-// hash, and the repro codec's 4-field/5-field compatibility holds under fuzzed input.
+// hash, the trace hash is byte-wise FNV-1a exactly, and the repro codec's 4-field/5-field
+// compatibility holds under fuzzed input.
 
 #include <gtest/gtest.h>
 
@@ -371,6 +372,104 @@ TEST(TraceHashTest, CoverageCollectionDoesNotChangeTheTraceHash) {
   EXPECT_TRUE(plain.coverage.empty());
   EXPECT_FALSE(covered.coverage.empty());
   EXPECT_EQ(plain.trace_hash, covered.trace_hash);
+}
+
+// TraceHasher folds runs of zero bytes into one multiply by a power of the prime and carries a
+// run that is still open as a pending exponent. The value must stay byte-wise FNV-1a exactly
+// (segment reseeds mix it into the RNG seed), so these check value() after every word against
+// a byte-at-a-time reference, over inputs that open, cross and close zero runs everywhere.
+class ByteWiseFnv {
+ public:
+  void MixWord(uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h_ ^= (v >> (byte * 8)) & 0xff;
+      h_ *= 0x100000001b3ull;
+    }
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+void ExpectSameHashAfterEveryWord(const std::vector<uint64_t>& words,
+                                  explore::TraceHasher* hasher, ByteWiseFnv* reference) {
+  for (size_t i = 0; i < words.size(); ++i) {
+    hasher->MixWord(words[i]);
+    reference->MixWord(words[i]);
+    ASSERT_EQ(hasher->value(), reference->value()) << "after word " << i << " = " << words[i];
+  }
+}
+
+TEST(TraceHashTest, ZeroRunFoldingMatchesByteWiseFnv) {
+  const uint64_t ones = ~uint64_t{0};
+  std::vector<std::vector<uint64_t>> inputs = {
+      std::vector<uint64_t>(3, 0),     // zero words only
+      std::vector<uint64_t>(5, ones),  // no zero byte at all
+      // Runs of >= 8 zero words: the pending run passes the flush bound, alone and after a
+      // run opened inside a word (0x01 leaves seven high zero bytes pending).
+      std::vector<uint64_t>(20, 0),
+      {0x01, 0, 0, 0, 0, 0, 0, 0, 0, 0x0100, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+       0, 0xff00000000000000ull, 0, 0, 0, 0, 0, 0, 0, 0, ones},
+  };
+  // One nonzero byte at each position, with zero runs on both sides of it inside the word.
+  std::vector<uint64_t> single_bytes;
+  for (int pos = 0; pos < 8; ++pos) {
+    single_bytes.push_back(uint64_t{0x5a} << (pos * 8));
+  }
+  inputs.push_back(single_bytes);
+  // The same bytes, each run across a word boundary into a zero word and an all-ones word.
+  std::vector<uint64_t> crossing;
+  for (int pos = 0; pos < 8; ++pos) {
+    crossing.insert(crossing.end(), {uint64_t{0x80} << (pos * 8), 0, ones});
+  }
+  inputs.push_back(crossing);
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    SCOPED_TRACE("input " + std::to_string(i));
+    explore::TraceHasher hasher;
+    ByteWiseFnv reference;
+    EXPECT_EQ(hasher.value(), reference.value()) << "empty";
+    ExpectSameHashAfterEveryWord(inputs[i], &hasher, &reference);
+  }
+}
+
+TEST(TraceHashTest, CopyMidStreamCarriesThePendingZeroRun) {
+  explore::TraceHasher hasher;
+  ByteWiseFnv reference;
+  // Stop with a zero run open: seven high zero bytes of 0x2a plus two zero words.
+  ExpectSameHashAfterEveryWord({0x1234, 0x2a, 0, 0}, &hasher, &reference);
+  explore::TraceHasher copy = hasher;
+  ByteWiseFnv copy_reference = reference;
+  EXPECT_EQ(copy.value(), copy_reference.value());
+  ExpectSameHashAfterEveryWord({0x7700, 0, 5}, &hasher, &reference);
+  ExpectSameHashAfterEveryWord({0, 0, 0, 0, 0, 0, 0, 0, 0, 9}, &copy, &copy_reference);
+  EXPECT_NE(hasher.value(), copy.value());
+}
+
+TEST(TraceHashTest, EventHashIsByteWiseFnvOverItsSixWords) {
+  trace::Tracer tracer;
+  explore::TraceHasher hasher;
+  ByteWiseFnv reference;
+  for (uint64_t i = 0; i < 40; ++i) {
+    trace::Event e;
+    e.time_us = static_cast<trace::Usec>(i * 977);
+    e.type = static_cast<trace::EventType>(i % 7);
+    e.priority = static_cast<uint8_t>(i % 8);
+    e.processor = static_cast<uint16_t>(i % 3);
+    e.thread = i % 5;
+    e.object = i * 0x10001;
+    e.arg = i % 4 == 0 ? ~uint64_t{0} : i << 40;
+    tracer.Record(e);
+    for (uint64_t word : {static_cast<uint64_t>(e.time_us), static_cast<uint64_t>(e.type),
+                          (static_cast<uint64_t>(e.priority) << 32) |
+                              (static_cast<uint64_t>(e.processor) << 16),
+                          static_cast<uint64_t>(e.thread), e.object, e.arg}) {
+      reference.MixWord(word);
+    }
+    hasher.Mix(e);
+    ASSERT_EQ(hasher.value(), reference.value()) << "after event " << i;
+  }
+  EXPECT_EQ(explore::TraceHash(tracer), reference.value());
 }
 
 // --- repro 4-field / 5-field compatibility ------------------------------------------------------

@@ -7,8 +7,11 @@
 // silently falls back to from-zero execution, so these tests still pass — they just compare
 // the fallback against itself.
 
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -17,6 +20,7 @@
 #include "src/explore/scenarios.h"
 #include "src/fault/fault.h"
 #include "src/pcr/checkpoint.h"
+#include "src/pcr/monitor.h"
 #include "src/pcr/runtime.h"
 
 namespace {
@@ -172,6 +176,86 @@ TEST(CheckpointGuardTest, RefusesSnapshotWhileAnExceptionIsInFlight) {
         }
       },
       "Checkpoint::Checkpoint with an exception in flight");
+}
+
+// Checkpoint bytes of a runtime holding only `names`, as freshly constructed monitors.
+size_t SnapshotBytesOfFreshMonitors(const std::vector<std::string>& names) {
+  pcr::Runtime rt;
+  std::vector<std::unique_ptr<pcr::MonitorLock>> locks;
+  for (const std::string& name : names) {
+    locks.push_back(std::make_unique<pcr::MonitorLock>(rt.scheduler(), name));
+  }
+  return pcr::Checkpoint(rt.scheduler(), rt.tracer(), nullptr).bytes();
+}
+
+// Unregistering costs O(1) in any order: the registry's last entry moves into the vacated slot.
+// A Checkpoint must still save and restore exactly the live objects. The unregistration half
+// runs in every build, so under ASan a write through a destroyed object's slot is reported; the
+// snapshot half needs Checkpoint::Supported().
+TEST(CheckpointRegistryTest, UnregisteringInAnyOrderKeepsExactlyTheLiveObjects) {
+  constexpr int kLocks = 48;
+  constexpr int kDestroyed = 36;  // the first kDestroyed of each order; the rest stay alive
+  std::vector<int> creation;
+  for (int i = 0; i < kLocks; ++i) {
+    creation.push_back(i);
+  }
+  std::vector<int> reverse(creation.rbegin(), creation.rend());
+  std::vector<int> interleaved;  // alternately from either end: 0, 47, 1, 46, ...
+  for (int i = 0; i < kLocks / 2; ++i) {
+    interleaved.push_back(i);
+    interleaved.push_back(kLocks - 1 - i);
+  }
+  std::vector<int> strided;  // every third, then the rest: 0, 3, 6, ..., 1, 4, ...
+  for (int phase = 0; phase < 3; ++phase) {
+    for (int i = phase; i < kLocks; i += 3) {
+      strided.push_back(i);
+    }
+  }
+  const std::vector<std::pair<std::string, std::vector<int>>> orders = {
+      {"creation", creation}, {"reverse", reverse}, {"interleaved", interleaved},
+      {"strided", strided}};
+  for (const auto& [label, order] : orders) {
+    SCOPED_TRACE(label);
+    pcr::Runtime rt;
+    std::vector<std::unique_ptr<pcr::MonitorLock>> locks;
+    for (int i = 0; i < kLocks; ++i) {
+      locks.push_back(std::make_unique<pcr::MonitorLock>(rt.scheduler(), 'm' + std::to_string(i)));
+    }
+    for (int k = 0; k < kDestroyed; ++k) {
+      locks[static_cast<size_t>(order[static_cast<size_t>(k)])].reset();
+    }
+    std::vector<std::string> live_names;
+    for (const auto& lock : locks) {
+      if (lock != nullptr) {
+        live_names.push_back(lock->name());
+      }
+    }
+    ASSERT_EQ(live_names.size(), static_cast<size_t>(kLocks - kDestroyed));
+    if (pcr::Checkpoint::Supported()) {
+      pcr::Checkpoint ckpt(rt.scheduler(), rt.tracer(), nullptr);
+      EXPECT_EQ(ckpt.bytes(), SnapshotBytesOfFreshMonitors(live_names))
+          << "the snapshot must hold exactly the live monitors";
+      for (const auto& lock : locks) {
+        if (lock != nullptr) {
+          lock->Poison();
+        }
+      }
+      ckpt.Restore();
+      for (const auto& lock : locks) {
+        if (lock != nullptr) {
+          EXPECT_FALSE(lock->poisoned()) << lock->name() << " was not restored";
+        }
+      }
+    }
+    for (size_t k = kDestroyed; k < order.size(); ++k) {
+      locks[static_cast<size_t>(order[k])].reset();
+    }
+    if (pcr::Checkpoint::Supported()) {
+      EXPECT_EQ(pcr::Checkpoint(rt.scheduler(), rt.tracer(), nullptr).bytes(),
+                SnapshotBytesOfFreshMonitors({}))
+          << "no monitor is left registered";
+    }
+  }
 }
 
 TEST(CheckpointEquivalenceTest, WorkerCountInvariantWithCheckpointingOn) {

@@ -1,9 +1,11 @@
 // Tests for the schedule-exploration harness (src/explore/): the explorer finds the injected
 // bugs in the canned scenarios within a bounded budget, repro strings replay to identical
-// traces, and the repro codec round-trips.
+// traces, the merge of pruned cells reports what full copies did, and the repro codec
+// round-trips.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "src/explore/perturbers.h"
 #include "src/explore/repro.h"
 #include "src/explore/scenarios.h"
+#include "src/pcr/runtime.h"
 
 namespace {
 
@@ -107,6 +110,61 @@ TEST(ExploreTest, MinimizedReproStillFailsAndIsShort) {
   EXPECT_LT(decisions.size(), 256u);
   explore::ScheduleOutcome replay = explorer.Replay(result.failures[0].repro, scenario.body);
   EXPECT_TRUE(replay.failed);
+}
+
+// Fails before the first segment boundary: the body makes no scheduling decision, so every
+// group's run ends before depths[0] and its one execution stands in for all of the group's
+// cells. The swept runtime seed picks the failure and the trace.
+void FailsBeforeTheFirstBoundary(pcr::Runtime& rt, explore::TestContext& ctx) {
+  const uint64_t draw = rt.scheduler().RandomU64();
+  rt.ForkDetached([draw] {
+    pcr::thisthread::Compute(static_cast<pcr::Usec>(1 + draw % 5) * pcr::kUsecPerMsec);
+  });
+  rt.RunUntilQuiescent(pcr::kUsecPerSec);
+  ctx.Check(draw % 4 == 0, "bucket " + std::to_string(draw % 4));
+}
+
+// The merge reads only the trace hash of a cell that another cell stood in for. The pinned
+// values are what it reports when every such cell holds a full copy of its source's outcome:
+// the failures, their order and cut-off, and the schedule counts must be the same.
+TEST(ExploreMergeTest, CollapsedGroupsMergeAsWithFullCopies) {
+  struct Expected {
+    int schedule_index;
+    std::string failure;
+    std::string repro;
+  };
+  const std::vector<Expected> all = {
+      {1, "bucket 2", "pcr1:collapse:2469588189546311529:"},
+      {5, "bucket 1", "pcr1:collapse:6472927700900931385:"},
+      {29, "bucket 3", "pcr1:collapse:6836463893453737491:"},
+  };
+  for (bool checkpoint : {true, false}) {
+    for (size_t max_failures : {size_t{8}, size_t{2}}) {
+      SCOPED_TRACE("checkpoint " + std::to_string(checkpoint) + ", max_failures " +
+                   std::to_string(max_failures));
+      explore::ExploreOptions options;
+      options.scenario_name = "collapse";
+      options.budget = 100;  // 25 groups of 4 cells after the baseline
+      options.workers = 1;
+      options.minimize = false;
+      options.checkpoint = checkpoint;
+      options.max_failures = max_failures;
+      explore::ExploreResult result =
+          explore::Explorer(options).Explore(FailsBeforeTheFirstBoundary);
+      EXPECT_FALSE(result.baseline.failed);
+      EXPECT_EQ(result.baseline.repro, "pcr1:collapse:1:");
+      EXPECT_EQ(result.profile.pruned_schedules, 74);
+      // With two failures allowed the merge stops at schedule 5, group 1's first cell.
+      EXPECT_EQ(result.schedules_run, max_failures == 2 ? 6 : 100);
+      EXPECT_EQ(result.distinct_schedules, max_failures == 2 ? 3 : 26);
+      ASSERT_EQ(result.failures.size(), std::min(max_failures, all.size()));
+      for (size_t i = 0; i < result.failures.size(); ++i) {
+        EXPECT_EQ(result.failures[i].schedule_index, all[i].schedule_index) << i;
+        EXPECT_EQ(result.failures[i].failures, std::vector<std::string>{all[i].failure}) << i;
+        EXPECT_EQ(result.failures[i].repro, all[i].repro) << i;
+      }
+    }
+  }
 }
 
 TEST(ReproTest, RoundTripsRunLengthEncodedStreams) {

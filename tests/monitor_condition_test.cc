@@ -1,8 +1,10 @@
 // Mesa monitor and condition-variable semantics, including the Section 6.1 spurious lock
-// conflict and its deferred-reschedule fix.
+// conflict and its deferred-reschedule fix, and the ownership an exception leaves behind when it
+// unwinds out of WAIT.
 
 #include <gtest/gtest.h>
 
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -455,6 +457,130 @@ TEST(ConditionTest, StaleTimerAfterNotifyDoesNotRewake) {
   rt.RunFor(kUsecPerSec);
   EXPECT_EQ(wakeups, 1);
   rt.Shutdown();
+}
+
+// --- Exceptions unwinding out of WAIT ----------------------------------------------------------
+//
+// A shutdown kill leaving WAIT re-marks the monitor as owned, so the enclosing MonitorGuard's
+// Exit stays balanced; any other exception leaves WAIT without ownership, so a live owner keeps
+// its lock. A probe declared inside the guard's scope is destroyed after WAIT's frame and before
+// the guard, so it sees the ownership WAIT left behind.
+
+struct UnwindProbe {
+  MonitorLock& lock;
+  int* held_when_unwound;  // stays -1 unless an unwind destroys the probe; then 0 or 1
+  ~UnwindProbe() {
+    if (std::uncaught_exceptions() > 0) {
+      *held_when_unwound = lock.HeldByCurrent() ? 1 : 0;
+    }
+  }
+};
+
+// Injects a thread death into `victim`'s next charge once armed.
+class KillAtNextCharge : public FaultInjector {
+ public:
+  explicit KillAtNextCharge(Scheduler& scheduler) : scheduler_(scheduler) {}
+  void Arm(ThreadId victim) { victim_ = victim; }
+  uint64_t OnFaultPoint(FaultSite site) override {
+    if (site != FaultSite::kThreadDeath || victim_ == kNoThread ||
+        scheduler_.current() != victim_) {
+      return 0;
+    }
+    victim_ = kNoThread;
+    return 1;
+  }
+
+ private:
+  Scheduler& scheduler_;
+  ThreadId victim_ = kNoThread;
+};
+
+TEST(WaitKillTest, ShutdownKillsAWaiterParkedUnderItsGuard) {
+  Runtime rt;
+  MonitorLock lock(rt.scheduler(), "m");
+  Condition cv(lock, "cv");
+  int held_when_unwound = -1;
+  bool returned = false;
+  ThreadId waiter = rt.ForkDetached([&] {
+    MonitorGuard guard(lock);
+    UnwindProbe probe{lock, &held_when_unwound};
+    cv.Wait();
+    returned = true;
+  });
+  rt.RunFor(10 * kUsecPerMsec);
+  ASSERT_EQ(rt.scheduler().GetTcb(waiter).block_reason, BlockReason::kCondition);
+  rt.Shutdown();
+  EXPECT_FALSE(returned);
+  EXPECT_EQ(held_when_unwound, 1) << "the kill must leave WAIT owning the monitor again";
+  EXPECT_EQ(lock.owner(), kNoThread);
+  EXPECT_TRUE(rt.scheduler().GetTcb(waiter).finished);
+  EXPECT_EQ(rt.scheduler().uncaught_exits(), 0);
+}
+
+TEST(WaitKillTest, ShutdownKillsANotifiedWaiterParkedReenteringTheMonitor) {
+  Config config;
+  config.defer_notify_reschedule = false;  // the waiter wakes while the notifier holds the lock
+  Runtime rt(config);
+  MonitorLock lock(rt.scheduler(), "m");
+  Condition cv(lock, "cv");
+  int held_when_unwound = -1;
+  bool returned = false;
+  ThreadId waiter = rt.ForkDetached([&] {
+    MonitorGuard guard(lock);
+    UnwindProbe probe{lock, &held_when_unwound};
+    cv.Wait();
+    returned = true;
+  });
+  ThreadId notifier = rt.ForkDetached([&] {
+    MonitorGuard guard(lock);
+    cv.Notify();
+    thisthread::Sleep(kUsecPerSec);  // holds the monitor until shutdown
+  });
+  rt.RunFor(10 * kUsecPerMsec);
+  ASSERT_EQ(rt.scheduler().GetTcb(waiter).block_reason, BlockReason::kMonitor);
+  ASSERT_EQ(lock.owner(), notifier);
+  rt.Shutdown();
+  EXPECT_FALSE(returned);
+  EXPECT_EQ(held_when_unwound, 1) << "the kill must leave WAIT owning the monitor again";
+  EXPECT_EQ(lock.owner(), kNoThread);
+  EXPECT_TRUE(rt.scheduler().GetTcb(waiter).finished);
+  EXPECT_TRUE(rt.scheduler().GetTcb(notifier).finished);
+  EXPECT_EQ(rt.scheduler().uncaught_exits(), 0);
+}
+
+TEST(WaitKillTest, InjectedDeathInsideWaitLeavesTheLockToItsLiveOwner) {
+  Config config;
+  config.defer_notify_reschedule = false;
+  Runtime rt(config);
+  MonitorLock lock(rt.scheduler(), "m");
+  Condition cv(lock, "cv");
+  KillAtNextCharge killer(rt.scheduler());
+  rt.scheduler().set_fault_injector(&killer);
+  int held_when_unwound = -1;
+  bool returned = false;
+  ThreadId waiter = rt.ForkDetached([&] {
+    MonitorGuard guard(lock);
+    UnwindProbe probe{lock, &held_when_unwound};
+    cv.Wait();
+    returned = true;
+  });
+  ThreadId notifier = rt.ForkDetached([&] {
+    MonitorGuard guard(lock);
+    cv.Notify();
+    killer.Arm(waiter);  // the waiter's next charge is its re-entry into the monitor
+    thisthread::Sleep(kUsecPerSec);
+  });
+  rt.RunFor(10 * kUsecPerMsec);
+  EXPECT_FALSE(returned);
+  EXPECT_EQ(held_when_unwound, 0) << "an injected death must leave WAIT without ownership";
+  EXPECT_EQ(lock.owner(), notifier);
+  EXPECT_FALSE(lock.poisoned());
+  EXPECT_TRUE(rt.scheduler().GetTcb(waiter).finished);
+  EXPECT_EQ(rt.scheduler().uncaught_exits(), 1);
+  rt.Shutdown();
+  rt.scheduler().set_fault_injector(nullptr);
+  EXPECT_EQ(lock.owner(), kNoThread);
+  EXPECT_TRUE(rt.scheduler().GetTcb(notifier).finished);
 }
 
 }  // namespace

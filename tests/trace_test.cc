@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
+#include <vector>
 
 #include "src/pcr/runtime.h"
 #include "src/trace/census.h"
@@ -141,6 +143,29 @@ TEST(StatsTest, DistinctObjectCountsMatchUsage) {
   Summary s = Summarize(rt.tracer());
   EXPECT_EQ(s.distinct_cvs, 1);
   EXPECT_EQ(s.distinct_mls, 2);
+}
+
+TEST(StatsTest, DistinctObjectCountsTakeAnySixtyFourBitId) {
+  // Hand-built and loaded traces may carry any id, not only the runtime's small dense ones:
+  // ids on both sides of any dense/sparse split, repeated, and out of order.
+  const std::vector<ObjectId> ml_ids = {1,       7,           1,          1ull << 20, 64,
+                                        1ull << 63, ~ObjectId{0}, 1ull << 20, 0,          63,
+                                        ~ObjectId{0}, (1ull << 20) - 1, 7};
+  const std::vector<ObjectId> cv_ids = {~ObjectId{0}, 5, 5, 1ull << 40, 1ull << 40};
+  Tracer tracer;
+  Usec t = 0;
+  for (ObjectId id : ml_ids) {
+    tracer.Record(Event{.time_us = ++t, .type = EventType::kMlEnter, .object = id});
+  }
+  for (ObjectId id : cv_ids) {
+    tracer.Record(Event{.time_us = ++t, .type = EventType::kCvWait, .object = id});
+  }
+  tracer.Record(Event{.time_us = ++t});  // the default window ends before the last event
+  Summary s = Summarize(tracer);
+  EXPECT_EQ(s.ml_enters, static_cast<int64_t>(ml_ids.size()));
+  EXPECT_EQ(s.distinct_mls, static_cast<int64_t>(std::set<ObjectId>(ml_ids.begin(),
+                                                                     ml_ids.end()).size()));
+  EXPECT_EQ(s.distinct_cvs, 3);
 }
 
 TEST(StatsTest, ExecutionIntervalsSumToBusyTime) {
