@@ -10,7 +10,6 @@
 //                                   # monitor configs, where checkpoint-and-branch amortizes)
 //   bench_explore --workers=8       # pin the parallel worker count
 //   bench_explore --budget=400      # override each scenario's schedule budget
-//   bench_explore --json            # also write BENCH_explore.json
 //   bench_explore --no-checkpoint   # force from-zero replay (the fallback CI gates on)
 //   bench_explore --require-speedup=2
 //                                   # exit nonzero unless every parallel run beats serial by
@@ -42,7 +41,6 @@ struct Args {
   std::string fault_plan;  // --fault-plan: base fault::Plan swept across schedules
   int budget = -1;         // <0: scenario default
   int workers = 0;         // 0: hardware concurrency
-  bool json = false;
   bool no_checkpoint = false;   // force from-zero replay in both runs
   bool no_dpor = false;         // disable sleep-set leaf pruning in both runs
   double require_speedup = 0;   // >0: gate on parallel/serial ratio (4+ cores only)
@@ -50,7 +48,7 @@ struct Args {
 
 void Usage() {
   std::fprintf(stderr,
-               "usage: bench_explore [--scenario=NAME] [--budget=N] [--workers=N] [--json]\n"
+               "usage: bench_explore [--scenario=NAME] [--budget=N] [--workers=N]\n"
                "                     [--no-checkpoint] [--no-dpor] [--require-speedup=N]\n"
                "                     [--fault-plan=SPEC]\n");
 }
@@ -62,9 +60,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       size_t len = std::strlen(flag);
       return arg.compare(0, len, flag) == 0 ? arg.c_str() + len : nullptr;
     };
-    if (arg == "--json") {
-      args->json = true;
-    } else if (arg == "--no-checkpoint") {
+    if (arg == "--no-checkpoint") {
       args->no_checkpoint = true;
     } else if (arg == "--no-dpor") {
       args->no_dpor = true;
@@ -112,12 +108,9 @@ struct Measurement {
   std::string scenario;
   int budget = 0;
   int workers_parallel = 1;
-  double serial_seconds = 0;
-  double parallel_seconds = 0;
   double schedules_per_sec_serial = 0;
   double schedules_per_sec_parallel = 0;
   double speedup = 0;
-  int64_t events_per_schedule = 0;
   double events_per_sec_parallel = 0;
   bool deterministic = false;
   // Runtime counters from the parallel run's profile. pool_hit_rate is informational only —
@@ -188,6 +181,7 @@ Measurement RunScenario(const explore::BugScenario& scenario, const Args& args,
       args.workers > 0 ? args.workers : explore::WorkerPool::HardwareWorkers();
 
   // Events per schedule, from one plain run of the body (the same run every schedule perturbs).
+  int64_t events_per_schedule = 0;
   {
     pcr::Config config = options.base_config;
     config.trace_events = true;
@@ -195,7 +189,7 @@ Measurement RunScenario(const explore::BugScenario& scenario, const Args& args,
     explore::TestContext ctx;
     scenario.body(rt, ctx);
     rt.Shutdown();
-    m.events_per_schedule = static_cast<int64_t>(rt.tracer().size());
+    events_per_schedule = static_cast<int64_t>(rt.tracer().size());
   }
 
   options.workers = 1;
@@ -210,20 +204,20 @@ Measurement RunScenario(const explore::BugScenario& scenario, const Args& args,
   explore::ExploreResult parallel_result = parallel.Explore(scenario.body);
   auto t3 = std::chrono::steady_clock::now();
 
-  m.serial_seconds = Seconds(t0, t1);
-  m.parallel_seconds = Seconds(t2, t3);
+  const double serial_seconds = Seconds(t0, t1);
+  const double parallel_seconds = Seconds(t2, t3);
   // Throughput counts executed schedules: the full budget, since the parallel sweep runs every
   // precomputed plan (the merge, not execution, applies the max_failures cutoff).
-  if (m.serial_seconds > 0) {
-    m.schedules_per_sec_serial = m.budget / m.serial_seconds;
+  if (serial_seconds > 0) {
+    m.schedules_per_sec_serial = m.budget / serial_seconds;
   }
-  if (m.parallel_seconds > 0) {
-    m.schedules_per_sec_parallel = m.budget / m.parallel_seconds;
+  if (parallel_seconds > 0) {
+    m.schedules_per_sec_parallel = m.budget / parallel_seconds;
     m.events_per_sec_parallel =
-        static_cast<double>(m.events_per_schedule) * m.budget / m.parallel_seconds;
+        static_cast<double>(events_per_schedule) * m.budget / parallel_seconds;
   }
-  if (m.parallel_seconds > 0 && m.serial_seconds > 0) {
-    m.speedup = m.serial_seconds / m.parallel_seconds;
+  if (parallel_seconds > 0 && serial_seconds > 0) {
+    m.speedup = serial_seconds / parallel_seconds;
   }
   m.deterministic = SameResult(serial_result, parallel_result);
   m.fiber_switches = parallel_result.profile.fiber_switches;
@@ -236,47 +230,6 @@ Measurement RunScenario(const explore::BugScenario& scenario, const Args& args,
   m.dpor_pruned = parallel_result.profile.dpor_pruned;
   m.drain_spliced = parallel_result.profile.drain_spliced;
   return m;
-}
-
-void WriteJson(const std::vector<Measurement>& all, const char* path) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_explore: cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n  \"benchmarks\": [\n");
-  for (size_t i = 0; i < all.size(); ++i) {
-    const Measurement& m = all[i];
-    std::fprintf(f,
-                 "    {\"scenario\": \"%s\", \"budget\": %d, \"workers\": %d,\n"
-                 "     \"serial_seconds\": %.6f, \"parallel_seconds\": %.6f,\n"
-                 "     \"schedules_per_sec_serial\": %.1f, \"schedules_per_sec_parallel\": "
-                 "%.1f,\n"
-                 "     \"speedup\": %.2f, \"events_per_schedule\": %lld,\n"
-                 "     \"events_per_sec_parallel\": %.1f, \"deterministic\": %s,\n"
-                 "     \"fiber_switches\": %lld, \"stack_acquires\": %lld, "
-                 "\"stack_pool_hits\": %lld,\n"
-                 "     \"checkpoint\": %s, \"checkpoint_saves\": %lld, "
-                 "\"checkpoint_resumes\": %lld,\n"
-                 "     \"checkpoint_bytes\": %lld, \"pruned_schedules\": %lld,\n"
-                 "     \"dpor_pruned\": %lld, \"drain_spliced\": %lld}%s\n",
-                 m.scenario.c_str(), m.budget, m.workers_parallel, m.serial_seconds,
-                 m.parallel_seconds, m.schedules_per_sec_serial, m.schedules_per_sec_parallel,
-                 m.speedup, static_cast<long long>(m.events_per_schedule),
-                 m.events_per_sec_parallel, m.deterministic ? "true" : "false",
-                 static_cast<long long>(m.fiber_switches),
-                 static_cast<long long>(m.stack_acquires),
-                 static_cast<long long>(m.stack_pool_hits), m.checkpoint ? "true" : "false",
-                 static_cast<long long>(m.checkpoint_saves),
-                 static_cast<long long>(m.checkpoint_resumes),
-                 static_cast<long long>(m.checkpoint_bytes),
-                 static_cast<long long>(m.pruned_schedules),
-                 static_cast<long long>(m.dpor_pruned),
-                 static_cast<long long>(m.drain_spliced), i + 1 < all.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path);
 }
 
 }  // namespace
@@ -350,9 +303,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (args.json) {
-    WriteJson(all, "BENCH_explore.json");
-  }
   if (!deterministic) {
     std::fprintf(stderr, "bench_explore: serial and parallel results diverged\n");
     return 1;

@@ -7,8 +7,7 @@
 // the run exits nonzero if enabling metrics adds more than 10% on top of tracing alone, or if
 // tracing itself adds more than kMaxTracingOverhead on top of running dark.
 //
-//   bench_trace_overhead             # human-readable table
-//   bench_trace_overhead --json      # also write BENCH_trace.json (the CI artifact)
+//   bench_trace_overhead             # table and verdicts; no options
 //
 // One workload run takes a few milliseconds, too short to time against host noise. So a
 // sample is kRunsPerSample back-to-back runs, after one untimed warm-up sample per config; each
@@ -19,7 +18,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -35,9 +33,8 @@ constexpr int kRepetitions = 7;
 constexpr double kMaxMetricsOverhead = 0.10;
 // End-to-end cost of the segmented trace log vs. running dark. The packed 24-byte encoding
 // landed this at ~0.04-0.15 on the reference host (down from ~0.34 with the flat vector);
-// the gate sits at the top of that band today and should ratchet toward 0.05 as the hot
-// path tightens further.
-constexpr double kMaxTracingOverhead = 0.15;
+// the gate should ratchet further toward 0.05 as the hot path tightens.
+constexpr double kMaxTracingOverhead = 0.10;
 
 struct Measurement {
   const char* name;
@@ -102,14 +99,12 @@ double MedianOverhead(const Measurement& slower, const Measurement& faster) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool json = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-    } else {
-      std::fprintf(stderr, "usage: bench_trace_overhead [--json]\n");
-      return 2;
-    }
+  if (argc > 1) {
+    std::fprintf(stderr,
+                 "bench_trace_overhead: unknown argument '%s'\n"
+                 "usage: bench_trace_overhead\n",
+                 argv[1]);
+    return 2;
   }
 
   Measurement full{"tracing+metrics", true, true};
@@ -149,31 +144,5 @@ int main(int argc, char** argv) {
   std::printf("tracing overhead on top of nothing: %+.1f%% (limit %.0f%%) -> %s\n",
               tracing_overhead * 100, kMaxTracingOverhead * 100, tracing_ok ? "OK" : "TOO SLOW");
 
-  if (json) {
-    const char* path = "BENCH_trace.json";
-    std::FILE* f = std::fopen(path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "bench_trace_overhead: cannot write %s\n", path);
-      return 2;
-    }
-    std::fprintf(f, "{\n  \"benchmarks\": [\n");
-    for (int i = 0; i < 3; ++i) {
-      std::fprintf(f,
-                   "    {\"config\": \"%s\", \"seconds\": %.6f, \"events\": %zu, "
-                   "\"events_per_sec\": %.1f}%s\n",
-                   rows[i]->name, rows[i]->seconds, events, rows[i]->events_per_sec,
-                   i < 2 ? "," : "");
-    }
-    std::fprintf(f,
-                 "  ],\n  \"repetitions\": %d,\n  \"runs_per_sample\": %d,\n"
-                 "  \"metrics_overhead_fraction\": %.4f,\n"
-                 "  \"tracing_overhead_fraction\": %.4f,\n"
-                 "  \"metrics_threshold\": %.2f,\n"
-                 "  \"tracing_threshold\": %.2f,\n  \"pass\": %s\n}\n",
-                 kRepetitions, kRunsPerSample, metrics_overhead, tracing_overhead,
-                 kMaxMetricsOverhead, kMaxTracingOverhead, pass ? "true" : "false");
-    std::fclose(f);
-    std::printf("wrote %s\n", path);
-  }
   return pass ? 0 : 1;
 }

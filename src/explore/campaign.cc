@@ -352,20 +352,6 @@ const CampaignStatus& Campaign::Run() {
 
 void Campaign::MaybeWriteStatus(bool force) {
   status_.failure_keys.assign(failure_keys_.begin(), failure_keys_.end());
-  status_.checkpoint_saves = 0;
-  status_.checkpoint_resumes = 0;
-  status_.checkpoint_bytes = 0;
-  status_.pruned_schedules = 0;
-  status_.dpor_pruned = 0;
-  status_.drain_spliced = 0;
-  for (const ScenarioSlot& slot : slots_) {
-    status_.checkpoint_saves += slot.explorer->checkpoint_saves();
-    status_.checkpoint_resumes += slot.explorer->checkpoint_resumes();
-    status_.checkpoint_bytes += slot.explorer->checkpoint_bytes();
-    status_.pruned_schedules += slot.explorer->pruned_schedules();
-    status_.dpor_pruned += slot.explorer->dpor_pruned();
-    status_.drain_spliced += slot.explorer->drain_spliced();
-  }
   if (options_.status_json_path.empty()) {
     return;
   }
@@ -416,12 +402,6 @@ bool Campaign::WriteStatusJson(const std::string& path, const CampaignStatus& st
   write_list(status.failure_keys);
   out << ",\n  \"errors\": ";
   write_list(status.errors);
-  out << ",\n  \"checkpoint_saves\": " << status.checkpoint_saves << ",\n";
-  out << "  \"checkpoint_resumes\": " << status.checkpoint_resumes << ",\n";
-  out << "  \"checkpoint_bytes\": " << status.checkpoint_bytes << ",\n";
-  out << "  \"pruned_schedules\": " << status.pruned_schedules << ",\n";
-  out << "  \"dpor_pruned\": " << status.dpor_pruned << ",\n";
-  out << "  \"drain_spliced\": " << status.drain_spliced;
   char rate[64];
   std::snprintf(rate, sizeof(rate), "%.3f", status.wall_sec);
   out << ",\n  \"wall_sec\": " << rate << ",\n";

@@ -100,15 +100,6 @@ struct CampaignStatus {
   size_t distinct_failures = 0;
   std::vector<std::string> failure_keys;  // sorted "scenario|bug identity" strings
   std::vector<std::string> errors;        // validation problems; non-empty fails the campaign
-  // Checkpoint-and-branch counters summed across the campaign's per-scenario explorers
-  // (explore.checkpoint.* / explore.pruned in the metrics registry). Zero when every input ran
-  // as a single-schedule replay — today's campaign paths — or with checkpointing off.
-  int64_t checkpoint_saves = 0;
-  int64_t checkpoint_resumes = 0;
-  int64_t checkpoint_bytes = 0;
-  int64_t pruned_schedules = 0;
-  int64_t dpor_pruned = 0;
-  int64_t drain_spliced = 0;
   double wall_sec = 0;
   double inputs_per_sec = 0;
 

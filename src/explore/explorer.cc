@@ -13,7 +13,6 @@
 #include "src/pcr/checkpoint.h"
 #include "src/pcr/errors.h"
 #include "src/pcr/fiber.h"
-#include "src/trace/metrics.h"
 
 namespace explore {
 
@@ -489,36 +488,6 @@ bool Explorer::RunGroupCheckpoint(const GroupPlan& group, const TestBody& body,
     }
   };
 
-  // Restores rewind the scheduler's own counters, so profile deltas are harvested per executed
-  // segment (each segment runs exactly once — that is the point).
-  int64_t base_switches = 0;
-  int64_t base_acquires = 0;
-  int64_t base_hits = 0;
-  auto harvest = [&] {
-    fiber_switches_.fetch_add(rt.scheduler().fiber_switches() - base_switches,
-                              std::memory_order_relaxed);
-    stack_acquires_.fetch_add(rt.scheduler().stack_acquires() - base_acquires,
-                              std::memory_order_relaxed);
-    stack_pool_hits_.fetch_add(rt.scheduler().stack_pool_hits() - base_hits,
-                               std::memory_order_relaxed);
-    base_switches = rt.scheduler().fiber_switches();
-    base_acquires = rt.scheduler().stack_acquires();
-    base_hits = rt.scheduler().stack_pool_hits();
-  };
-  auto resync = [&] {
-    base_switches = rt.scheduler().fiber_switches();
-    base_acquires = rt.scheduler().stack_acquires();
-    base_hits = rt.scheduler().stack_pool_hits();
-  };
-
-  // Per-runtime observability: the same counters land in ExploreProfile; these make them
-  // visible through the metrics registry when Config::metrics is on.
-  trace::Counter* m_saves = rt.scheduler().MetricCounter("explore.checkpoint.saves");
-  trace::Counter* m_resumes = rt.scheduler().MetricCounter("explore.checkpoint.resumes");
-  trace::Counter* m_bytes = rt.scheduler().MetricCounter("explore.checkpoint.bytes");
-  trace::Counter* m_pruned = rt.scheduler().MetricCounter("explore.pruned");
-  trace::Counter* m_dpor = rt.scheduler().MetricCounter("explore.dpor.pruned");
-  trace::Counter* m_splice = rt.scheduler().MetricCounter("explore.drain.spliced");
   int64_t group_saves = 0;
   int64_t group_resumes = 0;
   int64_t group_bytes = 0;
@@ -615,10 +584,8 @@ bool Explorer::RunGroupCheckpoint(const GroupPlan& group, const TestBody& body,
         }
       }
       if (c > 0) {
-        harvest();  // an abandoned child's segment would otherwise be rewound uncounted
         at.ckpt->Restore();
         ++group_resumes;
-        resync();
         recorder = at.recorder;
         injector = at.injector;
         ctx = at.ctx;
@@ -631,7 +598,6 @@ bool Explorer::RunGroupCheckpoint(const GroupPlan& group, const TestBody& body,
       if (exec.finished()) {
         // Ran to completion: at leaf level that is the schedule itself (stride 1); at an inner
         // level the deeper reseeds never applied, so one schedule covers the whole subtree.
-        harvest();
         fill_cell(child_first, &at.hasher, at.events, &at.analyzer);
         for (int j = 1; j < cells; ++j) {
           MarkPruned((*outcomes)[static_cast<size_t>(child_first)],
@@ -689,7 +655,6 @@ bool Explorer::RunGroupCheckpoint(const GroupPlan& group, const TestBody& body,
     if (exec.finished()) {
       // The whole run consults fewer than depths[0] decisions: every member is the same
       // schedule.
-      harvest();
       fill_cell(0);
       for (int m = 1; m < group.members; ++m) {
         MarkPruned((*outcomes)[0], &(*outcomes)[static_cast<size_t>(m)]);
@@ -711,7 +676,6 @@ bool Explorer::RunGroupCheckpoint(const GroupPlan& group, const TestBody& body,
     const auto drain_start = ProfileClock::now();
     exec.Resume();
     run_ns_.fetch_add(NsSince(drain_start), std::memory_order_relaxed);
-    harvest();
   }
 
   if (!exec.finished()) {
@@ -722,19 +686,18 @@ bool Explorer::RunGroupCheckpoint(const GroupPlan& group, const TestBody& body,
     rt.scheduler().RequestCheckpointAbort();
     exec.Resume();
     run_ns_.fetch_add(NsSince(teardown_start), std::memory_order_relaxed);
-    harvest();
   }
   root.reset();  // inner-node checkpoints already died inside descend (newest-first)
   rt.scheduler().set_checkpoint_hook(nullptr);
   rt.scheduler().set_perturber(nullptr);
   rt.scheduler().set_fault_injector(nullptr);
 
+  fiber_switches_.fetch_add(rt.scheduler().fiber_switches(), std::memory_order_relaxed);
+  stack_acquires_.fetch_add(rt.scheduler().stack_acquires(), std::memory_order_relaxed);
+  stack_pool_hits_.fetch_add(rt.scheduler().stack_pool_hits(), std::memory_order_relaxed);
   checkpoint_saves_.fetch_add(group_saves, std::memory_order_relaxed);
   checkpoint_resumes_.fetch_add(group_resumes, std::memory_order_relaxed);
   checkpoint_bytes_.fetch_add(group_bytes, std::memory_order_relaxed);
-  trace::MetricAdd(m_saves, group_saves);
-  trace::MetricAdd(m_resumes, group_resumes);
-  trace::MetricAdd(m_bytes, group_bytes);
   arena.trace_buffer = rt.tracer().TakeEventBuffer();
   if (exception_in_flight) {
     return false;  // the outcomes and pruning counts come from the from-zero recompute
@@ -742,9 +705,6 @@ bool Explorer::RunGroupCheckpoint(const GroupPlan& group, const TestBody& body,
   pruned_.fetch_add(group_pruned, std::memory_order_relaxed);
   dpor_pruned_.fetch_add(group_dpor, std::memory_order_relaxed);
   drain_spliced_.fetch_add(group_splice, std::memory_order_relaxed);
-  trace::MetricAdd(m_pruned, group_pruned);
-  trace::MetricAdd(m_dpor, group_dpor);
-  trace::MetricAdd(m_splice, group_splice);
   return true;
 }
 

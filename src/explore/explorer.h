@@ -248,20 +248,6 @@ class Explorer {
     uint64_t independent_tail_event = 0;
   };
 
- public:
-  // Checkpoint/pruning counters accumulated since the last Explore() call (which resets them).
-  // Replay/Minimize add to them whenever they run grouped plans. The fuzzing campaign reads
-  // these per-scenario explorers for its status JSON.
-  int64_t checkpoint_saves() const { return checkpoint_saves_.load(std::memory_order_relaxed); }
-  int64_t checkpoint_resumes() const {
-    return checkpoint_resumes_.load(std::memory_order_relaxed);
-  }
-  int64_t checkpoint_bytes() const { return checkpoint_bytes_.load(std::memory_order_relaxed); }
-  int64_t pruned_schedules() const { return pruned_.load(std::memory_order_relaxed); }
-  int64_t dpor_pruned() const { return dpor_pruned_.load(std::memory_order_relaxed); }
-  int64_t drain_spliced() const { return drain_spliced_.load(std::memory_order_relaxed); }
-
- private:
   ScheduleOutcome RunPlan(const Plan& plan, int schedule_index, const TestBody& body,
                           WorkerArena& arena, trace::Tracer* capture = nullptr,
                           std::vector<ConsultRecord>* consult_log = nullptr);

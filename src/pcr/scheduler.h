@@ -226,9 +226,6 @@ struct SchedulerRunState {
   int64_t zero_progress_ops_ = 0;       // livelock guard: ops executed since time last advanced
   size_t stack_bytes_reserved_ = 0;
   size_t peak_stack_bytes_reserved_ = 0;
-  int64_t fiber_switches_ = 0;
-  int64_t stack_acquires_ = 0;
-  int64_t stack_pool_hits_ = 0;
 };
 
 class Scheduler : private SchedulerRunState {
@@ -408,7 +405,9 @@ class Scheduler : private SchedulerRunState {
   // Fiber-substrate counters, kept independent of the metrics registry so benches can read
   // them even in PCR_METRICS=OFF builds. fiber_switches counts real context switches: two per
   // Resume round trip, none for a charge made in place; stack_acquires/stack_pool_hits count
-  // fiber-stack requests and how many the stack pool served without a fresh mmap.
+  // fiber-stack requests and how many the stack pool served without a fresh mmap. They count
+  // host work, which a Checkpoint restore does not undo, so they are not run state: a restore
+  // leaves them (and their registry mirrors fiber.switches and stack.*) where they are.
   int64_t fiber_switches() const { return fiber_switches_; }
   int64_t stack_acquires() const { return stack_acquires_; }
   int64_t stack_pool_hits() const { return stack_pool_hits_; }
@@ -513,6 +512,10 @@ class Scheduler : private SchedulerRunState {
   Config config_;
   trace::Tracer* tracer_;
   trace::MetricsRegistry metrics_;
+  // Read by fiber_switches(), stack_acquires() and stack_pool_hits(); not run state.
+  int64_t fiber_switches_ = 0;
+  int64_t stack_acquires_ = 0;
+  int64_t stack_pool_hits_ = 0;
   // Cached registry handles; all nullptr when metrics are off so the hot paths no-op.
   trace::Counter* m_dispatches_ = nullptr;
   trace::Counter* m_idle_parks_ = nullptr;

@@ -27,7 +27,7 @@
 // process, merged via XServerModel::MergeOverlapping, and the first thing shed under
 // overload). Latency is measured from arrival (creation) to hand-off into the X client —
 // queueing + service + batching slack — and recorded per class in bucket histograms whose
-// Percentile() yields the p50/p99/p999 that BENCH_load.json regresses.
+// Percentile() yields the p50/p99/p999 of bench_service_load's table in tests/behaviour.lock.
 //
 // Everything is deterministic given (spec, seed): same seed, byte-identical trace — the
 // acceptance property tests/service_world_test.cc holds across explore::WorkerPool worker

@@ -264,9 +264,7 @@ TEST(CampaignTest, StatusJsonIsWrittenAndWellFormed) {
   for (const char* key : {"\"rounds\"", "\"inputs_run\"", "\"corpus_entries\"",
                           "\"crash_entries\"", "\"coverage_points\"", "\"distinct_failures\"",
                           "\"scenarios\"", "\"failures\"", "\"errors\"", "\"wall_sec\"",
-                          "\"inputs_per_sec\"", "\"checkpoint_saves\"",
-                          "\"checkpoint_resumes\"", "\"checkpoint_bytes\"",
-                          "\"pruned_schedules\""}) {
+                          "\"inputs_per_sec\""}) {
     EXPECT_NE(text.find(key), std::string::npos) << "missing " << key << " in:\n" << text;
   }
 }

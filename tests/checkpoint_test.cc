@@ -302,4 +302,67 @@ TEST(CheckpointProfileTest, CountersReportCheckpointWork) {
   EXPECT_EQ(with.profile.pruned_schedules, without.profile.pruned_schedules);
 }
 
+// The substrate counters count host work. A checkpointed Explore call runs each segment once,
+// so it counts each once; from zero, every schedule counts its whole run. At one worker the
+// stack pool's hits are deterministic too. Where checkpointing is unsupported, the checkpointed
+// call runs from zero.
+TEST(CheckpointProfileTest, SubstrateCountersArePinned) {
+  struct Counts {
+    int64_t switches;
+    int64_t acquires;
+    int64_t pool_hits;
+  };
+  struct Pinned {
+    const char* scenario;
+    Counts from_zero;
+    Counts checkpointed;
+  };
+  const Pinned all[] = {
+      {"buggy_monitor", {29992, 1734, 1731}, {6718, 135, 132}},
+      {"good_monitor", {34588, 1920, 1917}, {7128, 99, 96}},
+  };
+  for (const Pinned& pinned : all) {
+    const explore::BugScenario* scenario = explore::FindScenario(pinned.scenario);
+    ASSERT_NE(scenario, nullptr) << pinned.scenario;
+    for (bool checkpoint : {false, true}) {
+      SCOPED_TRACE(std::string(pinned.scenario) + (checkpoint ? " checkpointed" : " from zero"));
+      const ExploreResult result = ExploreScenario(*scenario, checkpoint, 1, 2000);
+      const Counts& want = checkpoint && pcr::Checkpoint::Supported() ? pinned.checkpointed
+                                                                      : pinned.from_zero;
+      EXPECT_EQ(result.profile.fiber_switches, want.switches);
+      EXPECT_EQ(result.profile.stack_acquires, want.acquires);
+      EXPECT_EQ(result.profile.stack_pool_hits, want.pool_hits);
+    }
+  }
+}
+
+// A restore does not undo host work: switches and a pooled FORK made after a snapshot stay
+// counted when the snapshot is restored.
+TEST(CheckpointRestoreTest, SubstrateCountersDoNotRewind) {
+  if (!pcr::Checkpoint::Supported()) {
+    GTEST_SKIP() << "checkpointing is unsupported in this build";
+  }
+  pcr::Runtime rt;
+  pcr::Scheduler& scheduler = rt.scheduler();
+  rt.ForkDetached([] { pcr::thisthread::Compute(10); });  // parks its stack in the pool
+  rt.RunUntilQuiescent(pcr::kUsecPerSec);
+  pcr::Checkpoint ckpt(scheduler, rt.tracer(), nullptr);
+  const int64_t switches = scheduler.fiber_switches();
+  const int64_t acquires = scheduler.stack_acquires();
+  const int64_t pool_hits = scheduler.stack_pool_hits();
+  rt.ForkDetached([] {
+    pcr::thisthread::Compute(10);
+    pcr::thisthread::Yield();
+  });
+  rt.RunUntilQuiescent(pcr::kUsecPerSec);
+  ASSERT_GT(scheduler.fiber_switches(), switches);
+  ASSERT_EQ(scheduler.stack_acquires(), acquires + 1);
+  ASSERT_EQ(scheduler.stack_pool_hits(), pool_hits + 1);
+  const int64_t switches_before_restore = scheduler.fiber_switches();
+  ckpt.Restore();
+  EXPECT_EQ(scheduler.fiber_switches(), switches_before_restore);
+  EXPECT_EQ(scheduler.stack_acquires(), acquires + 1);
+  EXPECT_EQ(scheduler.stack_pool_hits(), pool_hits + 1);
+}
+
 }  // namespace
