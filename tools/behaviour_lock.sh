@@ -8,7 +8,7 @@
 #
 # Contents: every `pcrsim --list` scenario at seeds 1 and 2 (summary row + cksum of the saved
 # trace), the five --load-scenario runs (percentiles + trace hash), `pcrcheck --all
-# --workers=1` (verdicts, repros, replay hashes), bench_service_load's percentile table, and a
+# --workers=1` (verdicts, repros, replay hashes), bench_service_load's whole table, and a
 # 20-round `pcrcheck --campaign` from an empty corpus (report + corpus file names), which must
 # print the same text at --workers=1 and --workers=4.
 set -eu
