@@ -156,7 +156,7 @@ void Watchdog::ScanMissingNotify(pcr::Runtime& rt) {
     if (reported_cvs_.count(cv) != 0) {
       continue;
     }
-    if (cv->waiter_count() > 0 && cv->notified_exits() == 0 &&
+    if (!cv->waiters().empty() && cv->notified_exits() == 0 &&
         cv->timeout_exits() >= options_.missing_notify_min_timeouts) {
       reported_cvs_.insert(cv);
       WatchdogReport report;

@@ -24,17 +24,15 @@ void Condition::CheckpointSave(CheckpointedObjectState* state) const {
 
 void Condition::CheckpointTeardown() {
   name_.~basic_string();
-  waiters_.~deque();
+  waiters_.~WaitQueue();
 }
 
 void Condition::CheckpointRestore(const CheckpointedObjectState& state) {
   const char* cursor = state.extra.data();
   new (&name_) std::string(ckpt::ReadString(&cursor));
-  new (&waiters_) std::deque<WaitEntry>();
+  new (&waiters_) WaitQueue();
   ckpt::ReadPodRange(&cursor, &waiters_);
 }
-
-size_t Condition::waiter_count() const { return waiters_.size(); }
 
 bool Condition::Wait() {
   Scheduler& s = lock_.scheduler();

@@ -15,7 +15,6 @@
 #ifndef SRC_PCR_CONDITION_H_
 #define SRC_PCR_CONDITION_H_
 
-#include <deque>
 #include <string>
 
 #include "src/pcr/ids.h"
@@ -64,7 +63,8 @@ class Condition : public Checkpointable {
   // Wakes all waiters. Requires the monitor lock.
   void Broadcast();
 
-  size_t waiter_count() const;
+  // Queued entries, stale ones included (they are skipped when popped, never removed early).
+  const WaitQueue& waiters() const { return waiters_; }
 
   // Completed-WAIT counts split by cause (Table 2's timeout-vs-notify distinction). The
   // watchdog's missing-notify heuristic reads these: many timeout exits and zero notified
@@ -96,7 +96,7 @@ class Condition : public Checkpointable {
   trace::Log2Histogram* m_wait_timeout_us_ = nullptr;
   int64_t timeout_exits_ = 0;
   int64_t notified_exits_ = 0;
-  std::deque<WaitEntry> waiters_;
+  WaitQueue waiters_;
 };
 
 }  // namespace pcr

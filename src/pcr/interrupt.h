@@ -51,7 +51,7 @@ class InterruptSource {
   ObjectId id_;
   uint32_t name_sym_;  // `name_` interned in the tracer's symbol table
   std::deque<uint64_t> queue_;
-  std::deque<WaitEntry> waiters_;
+  WaitQueue waiters_;
 };
 
 }  // namespace pcr

@@ -20,7 +20,7 @@ void MonitorLock::RegisterContentionMetrics() {
   // ...), and eagerly registering two dead series for each would swamp the registry. The
   // uncontended world is fully covered by the monitor.* rollups; a monitor earns its own
   // contentions/hold_us series the moment it first matters for blocking. Same-named monitors
-  // share a series (try_emplace), which aggregates per-module rather than per-instance.
+  // share a series (register-or-get), which aggregates per-module rather than per-instance.
   per_monitor_registered_ = true;
   m_contentions_ = scheduler_.MetricCounter("monitor." + name_ + ".contentions");
   m_hold_us_ = scheduler_.MetricHistogram("monitor." + name_ + ".hold_us");
@@ -64,14 +64,14 @@ void MonitorLock::CheckpointSave(CheckpointedObjectState* state) const {
 
 void MonitorLock::CheckpointTeardown() {
   name_.~basic_string();
-  entry_waiters_.~deque();
+  entry_waiters_.~WaitQueue();
   deferred_wakeups_.~vector();
 }
 
 void MonitorLock::CheckpointRestore(const CheckpointedObjectState& state) {
   const char* cursor = state.extra.data();
   new (&name_) std::string(ckpt::ReadString(&cursor));
-  new (&entry_waiters_) std::deque<WaitEntry>();
+  new (&entry_waiters_) WaitQueue();
   ckpt::ReadPodRange(&cursor, &entry_waiters_);
   new (&deferred_wakeups_) std::vector<ThreadId>();
   ckpt::ReadPodRange(&cursor, &deferred_wakeups_);

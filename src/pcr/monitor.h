@@ -13,7 +13,6 @@
 #ifndef SRC_PCR_MONITOR_H_
 #define SRC_PCR_MONITOR_H_
 
-#include <deque>
 #include <exception>
 #include <string>
 #include <vector>
@@ -47,6 +46,7 @@ class MonitorLock : public Checkpointable {
 
   ThreadId owner() const { return owner_; }
   bool HeldByCurrent() const;
+  const WaitQueue& entry_waiters() const { return entry_waiters_; }
   // The next monitor in the owner's held list (Tcb::held_monitors), acquired before this one.
   MonitorLock* next_held() const { return next_held_; }
 
@@ -108,7 +108,7 @@ class MonitorLock : public Checkpointable {
   trace::Counter* m_all_contentions_ = nullptr;
   trace::Log2Histogram* m_hold_us_ = nullptr;
   trace::Log2Histogram* m_all_hold_us_ = nullptr;
-  std::deque<WaitEntry> entry_waiters_;
+  WaitQueue entry_waiters_;
   std::vector<ThreadId> deferred_wakeups_;
 };
 

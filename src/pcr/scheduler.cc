@@ -1,6 +1,7 @@
 #include "src/pcr/scheduler.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
 #include <exception>
 #include <cstdlib>
@@ -128,6 +129,7 @@ const Tcb* Scheduler::FindThread(ThreadId tid) const {
 
 void Scheduler::PushReady(Tcb& tcb, bool front) {
   tcb.ready_since = now_;
+  best_ready_ = kBestReadyStale;
   auto& queue = ready_[tcb.priority];
   if (queue.empty()) {
     ready_mask_ |= 1u << tcb.priority;
@@ -139,10 +141,19 @@ void Scheduler::PushReady(Tcb& tcb, bool front) {
   }
 }
 
+void Scheduler::Requeue(Tcb& tcb, bool front) {
+  tcb.state = ThreadState::kReady;
+  SetBoosted(tcb, false);
+  PushReady(tcb, front);
+  running_[static_cast<size_t>(tcb.processor)] = kNoThread;
+  tcb.processor = -1;
+}
+
 void Scheduler::SetBoosted(Tcb& tcb, bool value) {
   if (tcb.boosted != value) {
     tcb.boosted = value;
     boosted_count_ += value ? 1 : -1;
+    best_ready_ = kBestReadyStale;
   }
 }
 
@@ -150,6 +161,7 @@ void Scheduler::SetPenalized(Tcb& tcb, bool value) {
   if (tcb.penalized != value) {
     tcb.penalized = value;
     penalized_count_ += value ? 1 : -1;
+    best_ready_ = kBestReadyStale;
   }
 }
 
@@ -157,7 +169,10 @@ void Scheduler::SetInheritedPriority(Tcb& tcb, int value) {
   if ((tcb.inherited_priority > 0) != (value > 0)) {
     inherited_count_ += value > 0 ? 1 : -1;
   }
-  tcb.inherited_priority = value;
+  if (tcb.inherited_priority != value) {
+    tcb.inherited_priority = value;
+    best_ready_ = kBestReadyStale;
+  }
 }
 
 void Scheduler::Emit(trace::EventType type, ObjectId object, uint64_t arg,
@@ -369,11 +384,7 @@ void Scheduler::Yield() {
   }
   Emit(trace::EventType::kYield);
   Compute(config_.costs.yield);
-  me->state = ThreadState::kReady;
-  SetBoosted(*me, false);
-  PushReady(*me);
-  running_[static_cast<size_t>(me->processor)] = kNoThread;
-  me->processor = -1;
+  Requeue(*me);
   me->fiber->Suspend();
   if (shutting_down_) {
     throw ThreadKilled();
@@ -393,11 +404,7 @@ void Scheduler::YieldButNotToMe() {
   // "gives the processor to the highest priority ready thread other than its caller, if such a
   // thread exists" (Section 5.2); the penalty lasts until the end of the timeslice (Section 6.3).
   SetPenalized(*me, true);
-  me->state = ThreadState::kReady;
-  SetBoosted(*me, false);
-  PushReady(*me);
-  running_[static_cast<size_t>(me->processor)] = kNoThread;
-  me->processor = -1;
+  Requeue(*me);
   me->fiber->Suspend();
   if (shutting_down_) {
     throw ThreadKilled();
@@ -418,11 +425,7 @@ void Scheduler::DirectedYield(ThreadId target) {
   if (donee.state == ThreadState::kReady) {
     SetBoosted(donee, true);  // wins selection regardless of priority, until the next tick
   }
-  me->state = ThreadState::kReady;
-  SetBoosted(*me, false);
-  PushReady(*me);
-  running_[static_cast<size_t>(me->processor)] = kNoThread;
-  me->processor = -1;
+  Requeue(*me);
   me->fiber->Suspend();
   if (shutting_down_) {
     throw ThreadKilled();
@@ -446,6 +449,7 @@ void Scheduler::SetPriority(int priority) {
     throw UsageError("pcr: SetPriority outside a pcr thread");
   }
   me->priority = ClampPriority(priority);
+  best_ready_ = kBestReadyStale;
   Emit(trace::EventType::kSetPriority, 0, static_cast<uint64_t>(me->priority));
   Compute(1);  // preemption point so a self-demotion takes effect immediately
 }
@@ -522,7 +526,7 @@ void Scheduler::WakeThread(ThreadId tid, bool from_timer, bool front) {
   }
 }
 
-ThreadId Scheduler::PopValidWaiter(std::deque<WaitEntry>& queue) {
+ThreadId Scheduler::PopValidWaiter(WaitQueue& queue) {
   while (!queue.empty()) {
     WaitEntry entry = queue.front();
     queue.pop_front();
@@ -534,7 +538,7 @@ ThreadId Scheduler::PopValidWaiter(std::deque<WaitEntry>& queue) {
   return kNoThread;
 }
 
-void Scheduler::EnqueueCurrentWaiter(std::deque<WaitEntry>& queue) {
+void Scheduler::EnqueueCurrentWaiter(WaitQueue& queue) {
   Tcb* me = CurrentTcb();
   if (me == nullptr) {
     throw UsageError("pcr: wait outside a pcr thread");
@@ -582,14 +586,7 @@ void Scheduler::ScheduleInterrupt(Usec time, InterruptSource* source, uint64_t p
 
 ThreadId Scheduler::RandomReadyThread() {
   random_scratch_.clear();
-  uint32_t mask = ready_mask_;
-  while (mask != 0) {
-    int pri = __builtin_ctz(mask);
-    mask &= mask - 1;
-    for (ThreadId tid : ready_[pri]) {
-      random_scratch_.push_back(tid);
-    }
-  }
+  ForEachReady([this](const Tcb& t) { random_scratch_.push_back(t.id); });
   if (random_scratch_.empty()) {
     return kNoThread;
   }
@@ -634,11 +631,7 @@ void Scheduler::MaybeForcePreempt(PreemptPoint point) {
   // changing policy.
   Emit(trace::EventType::kForcedPreempt, 0, static_cast<uint64_t>(point));
   trace::MetricAdd(m_forced_preempts_);
-  me->state = ThreadState::kReady;
-  SetBoosted(*me, false);
-  PushReady(*me);
-  running_[static_cast<size_t>(me->processor)] = kNoThread;
-  me->processor = -1;
+  Requeue(*me);
   me->fiber->Suspend();
   if (shutting_down_) {
     throw ThreadKilled();
@@ -735,7 +728,34 @@ int Scheduler::EffectivePriority(const Tcb& tcb) const {
   return std::max(tcb.priority, tcb.inherited_priority);
 }
 
-ThreadId Scheduler::SelectReady(bool pop) {
+// Inline, and the scan out of line, so that Compute still inlines the charge made in place.
+inline int Scheduler::BestReadyPriority() {
+  if (boosted_count_ == 0 && penalized_count_ == 0 && inherited_count_ == 0) {
+    return ready_mask_ == 0 ? -1 : TopSetBit(ready_mask_);
+  }
+  if (best_ready_ == kBestReadyStale) {
+    best_ready_ = ScanBestReady();
+  }
+  assert(best_ready_ == ScanBestReady() && "a ready-set or modifier change kept best_ready_");
+  return best_ready_;
+}
+
+[[gnu::noinline]] int Scheduler::ScanBestReady() const {
+  // SelectReadySlow pops a boosted thread (kMaxPriority + 1), else the best unpenalized one (at
+  // least kMinPriority), else a penalized one (0): always one of maximal effective priority.
+  int best = -1;
+  ForEachReady([this, &best](const Tcb& t) { best = std::max(best, EffectivePriority(t)); });
+  return best;
+}
+
+bool Scheduler::BoostedThreadReady() const {
+  // Not BestReadyPriority() > kMaxPriority: a donation from a boosted thread also reaches it.
+  bool found = false;
+  ForEachReady([&found](const Tcb& t) { found = found || t.boosted; });
+  return found;
+}
+
+ThreadId Scheduler::SelectReady() {
   // Fast path: with no boosted/penalized/inherited thread anywhere and strict-priority
   // scheduling, effective priority equals base priority, so the best candidate is simply the
   // front of the highest non-empty level — one find-first-set on the ready mask instead of a
@@ -749,9 +769,8 @@ ThreadId Scheduler::SelectReady(bool pop) {
     }
     int pri = TopSetBit(ready_mask_);
     auto& queue = ready_[pri];
-    // Threads tied at the top level are interchangeable; the perturber may re-decide the
-    // round-robin accident, exactly as in the slow path (consulted only when popping).
-    if (pop && perturber_ != nullptr && queue.size() > 1) {
+    // Tied threads are interchangeable: the perturber may re-decide the round-robin accident.
+    if (perturber_ != nullptr && queue.size() > 1) {
       tied_scratch_.assign(queue.begin(), queue.end());
       size_t choice = perturber_->PickNext(tied_scratch_.data(), tied_scratch_.size());
       if (choice >= tied_scratch_.size()) {
@@ -763,16 +782,14 @@ ThreadId Scheduler::SelectReady(bool pop) {
       return tid;
     }
     ThreadId tid = queue.front();
-    if (pop) {
-      queue.pop_front();
-      SyncReadyMask(pri);
-    }
+    queue.pop_front();
+    SyncReadyMask(pri);
     return tid;
   }
-  return SelectReadySlow(pop);
+  return SelectReadySlow();
 }
 
-ThreadId Scheduler::SelectReadySlow(bool pop) {
+ThreadId Scheduler::SelectReadySlow() {
   // Pass 0: directed-yield donees win outright. Pass 1: selection by *effective* priority
   // (inheritance included), skipping YieldButNotToMe-penalized threads. Pass 2: penalized
   // threads as a last resort ("...other than its caller, if such a thread exists"). Queues are
@@ -809,10 +826,8 @@ ThreadId Scheduler::SelectReadySlow(bool pop) {
         if (pass == 0) {
           // Any boosted thread wins immediately.
           ThreadId tid = *it;
-          if (pop) {
-            queue.erase(it);
-            SyncReadyMask(pri);
-          }
+          queue.erase(it);
+          SyncReadyMask(pri);
           return tid;
         }
         int eff = rank(t);
@@ -825,9 +840,8 @@ ThreadId Scheduler::SelectReadySlow(bool pop) {
     }
     if (best_pri >= 0) {
       // Threads tied at the best rank are interchangeable under the scheduling policy; which
-      // one runs is the round-robin accident a perturber is allowed to re-decide. Consulted
-      // only when actually dispatching (pop), so peeks stay side-effect free.
-      if (pop && perturber_ != nullptr && pass == 1) {
+      // one runs is the round-robin accident a perturber is allowed to re-decide.
+      if (perturber_ != nullptr && pass == 1) {
         tied_scratch_.clear();
         for (int pri = kMaxPriority; pri >= kMinPriority; --pri) {
           for (ThreadId tid : ready_[pri]) {
@@ -851,10 +865,8 @@ ThreadId Scheduler::SelectReadySlow(bool pop) {
         }
       }
       ThreadId tid = *best_it;
-      if (pop) {
-        ready_[best_pri].erase(best_it);
-        SyncReadyMask(best_pri);
-      }
+      ready_[best_pri].erase(best_it);
+      SyncReadyMask(best_pri);
       return tid;
     }
   }
@@ -899,7 +911,7 @@ void Scheduler::AssignProcessors() {
     if (running_[p] != kNoThread) {
       continue;
     }
-    ThreadId tid = SelectReady(/*pop=*/true);
+    ThreadId tid = SelectReady();
     if (tid == kNoThread) {
       if (last_running_[p] != kNoThread) {
         // Close the previous run so interval accounting sees the idle gap.
@@ -952,12 +964,11 @@ void Scheduler::AssignProcessors() {
 
 void Scheduler::PreemptIfNeeded() {
   while (true) {
-    ThreadId candidate = SelectReady(/*pop=*/false);
-    if (candidate == kNoThread) {
+    const int best = BestReadyPriority();
+    if (best < 0) {
       return;
     }
-    if (config_.scheduling == SchedulingPolicy::kFairShare &&
-        !GetTcb(candidate).boosted) {
+    if (config_.scheduling == SchedulingPolicy::kFairShare && !BoostedThreadReady()) {
       // Fair share reschedules only at quantum ticks (and for directed-yield donees): wakeups
       // do not preempt, which is exactly its weakness for reactive work (Section 6.2).
       return;
@@ -974,7 +985,7 @@ void Scheduler::PreemptIfNeeded() {
         weakest_proc = static_cast<int>(p);
       }
     }
-    if (weakest_proc < 0 || EffectivePriority(GetTcb(candidate)) <= weakest_eff) {
+    if (weakest_proc < 0 || best <= weakest_eff) {
       return;
     }
     // "If a system event causes a higher priority thread to become runnable, the scheduler will
@@ -982,11 +993,7 @@ void Scheduler::PreemptIfNeeded() {
     Tcb& victim = GetTcb(running_[static_cast<size_t>(weakest_proc)]);
     Emit(trace::EventType::kPreempt, victim.id, 0, victim.name_sym);
     trace::MetricAdd(m_preempts_);
-    victim.state = ThreadState::kReady;
-    victim.processor = -1;
-    SetBoosted(victim, false);
-    PushReady(victim, /*front=*/true);
-    running_[static_cast<size_t>(weakest_proc)] = kNoThread;
+    Requeue(victim, /*front=*/true);
     AssignProcessors();
   }
 }
@@ -1005,8 +1012,7 @@ bool Scheduler::ChargeInPlace(Tcb& me) {
       (!interrupts_.empty() && done >= interrupts_.top().time)) {
     return false;
   }
-  ThreadId rival = SelectReady(/*pop=*/false);
-  if (rival != kNoThread && EffectivePriority(GetTcb(rival)) > EffectivePriority(me)) {
+  if (BestReadyPriority() > EffectivePriority(me)) {
     return false;
   }
   // The round trip's own state changes: the dispatch RunFiber counts once the fiber suspends,
@@ -1312,17 +1318,14 @@ void Scheduler::HandleTick() {
       continue;
     }
     Tcb& t = GetTcb(tid);
-    ThreadId candidate = SelectReady(/*pop=*/false);
-    if (candidate == kNoThread) {
+    const int best = BestReadyPriority();
+    if (best < 0) {
       continue;
     }
     bool rotate = config_.scheduling == SchedulingPolicy::kFairShare ||
-                  EffectivePriority(GetTcb(candidate)) >= EffectivePriority(t);
+                  best >= EffectivePriority(t);
     if (rotate) {
-      t.state = ThreadState::kReady;
-      t.processor = -1;
-      PushReady(t);
-      running_[p] = kNoThread;
+      Requeue(t);  // its boost, if any, ended with the sweep above
     }
   }
 }
@@ -1468,6 +1471,7 @@ void Scheduler::Shutdown() {
     queue.clear();
   }
   ready_mask_ = 0;
+  best_ready_ = kBestReadyStale;
   std::fill(running_.begin(), running_.end(), kNoThread);
 }
 

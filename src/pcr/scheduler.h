@@ -102,6 +102,37 @@ struct WaitEntry {
   uint64_t epoch = 0;
 };
 
+// The FIFO behind every wait queue: a vector and the index of its first unpopped entry. No heap
+// block until the first push, and a push into a full vector at least half popped slides the
+// live entries down instead of growing, so a queue that never drains stays bounded.
+class WaitQueue {
+ public:
+  using value_type = WaitEntry;  // ckpt::ReadPodRange
+  bool empty() const { return head_ == entries_.size(); }
+  size_t size() const { return entries_.size() - head_; }
+  size_t capacity() const { return entries_.capacity(); }
+  const WaitEntry* begin() const { return entries_.data() + head_; }
+  const WaitEntry* end() const { return entries_.data() + entries_.size(); }
+  const WaitEntry& front() const { return entries_[head_]; }
+  void push_back(WaitEntry entry) {
+    if (entries_.size() == entries_.capacity() && 2 * head_ >= entries_.size()) {
+      entries_.erase(entries_.begin(), entries_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+    entries_.push_back(entry);
+  }
+  void pop_front() {
+    if (++head_ == entries_.size()) {
+      entries_.clear();
+      head_ = 0;
+    }
+  }
+
+ private:
+  std::vector<WaitEntry> entries_;
+  size_t head_ = 0;
+};
+
 // The part of a thread control block that a Checkpoint rewinds, declared once: a Tcb field is
 // checkpointed if and only if it lives here (save and restore are one assignment each). The
 // one special case is Tcb::entry, restored only for threads that had not started.
@@ -205,6 +236,8 @@ struct SchedulerRunState {
   int boosted_count_ = 0;     // threads with the boosted flag set
   int penalized_count_ = 0;   // threads with the penalized flag set
   int inherited_count_ = 0;   // threads with inherited_priority > 0
+  static constexpr int kBestReadyStale = -2;  // until BestReadyPriority rescans
+  int best_ready_ = kBestReadyStale;  // BestReadyPriority's answer while a modifier is live
   std::vector<ThreadId> running_;       // per processor; kNoThread = idle
   std::vector<ThreadId> last_running_;  // per processor; for switch-event dedup
 
@@ -219,7 +252,7 @@ struct SchedulerRunState {
                       std::greater<PendingInterrupt>>
       interrupts_;
 
-  std::deque<WaitEntry> fork_waiters_;  // threads blocked in Fork waiting for resources
+  WaitQueue fork_waiters_;  // threads blocked in Fork waiting for resources
   int live_threads_ = 0;
   int64_t total_forks_ = 0;
   int64_t uncaught_exits_ = 0;
@@ -341,10 +374,10 @@ class Scheduler : private SchedulerRunState {
 
   // Pops wait-queue entries until a valid (still-blocked, epoch-matching) one is found and
   // returns its tid, or kNoThread. Does not wake it.
-  ThreadId PopValidWaiter(std::deque<WaitEntry>& queue);
+  ThreadId PopValidWaiter(WaitQueue& queue);
 
   // Appends the current thread to `queue` with its current epoch.
-  void EnqueueCurrentWaiter(std::deque<WaitEntry>& queue);
+  void EnqueueCurrentWaiter(WaitQueue& queue);
 
   void Emit(trace::EventType type, ObjectId object = 0, uint64_t arg = 0,
             uint32_t object_sym = 0);
@@ -468,19 +501,35 @@ class Scheduler : private SchedulerRunState {
   // their own stack_bytes_reserved_ accounting (this only decides destroy-vs-limbo).
   void RetireFiber(Tcb& tcb);
 
-  // Selection. Returns kNoThread when nothing is ready. With pop == false the queues are left
-  // untouched (peek); the perturber tie-break is consulted only when popping, so peeks stay
-  // side-effect free.
-  ThreadId SelectReady(bool pop);
-  ThreadId SelectReadySlow(bool pop);
+  // Selection: pops the next thread to dispatch, or returns kNoThread when nothing is ready.
+  ThreadId SelectReady();
+  ThreadId SelectReadySlow();
   int EffectivePriority(const Tcb& tcb) const;
+  // The highest effective priority among ready threads (-1: none), all that the peeks read
+  // (ChargeInPlace, PreemptIfNeeded, HandleTick). O(1): the top ready level when no modifier is
+  // live, otherwise a scan kept in best_ready_ until the ready set or a modifier changes.
+  int BestReadyPriority();
+  int ScanBestReady() const;
+  bool BoostedThreadReady() const;
+  // Calls f(tcb) for every ready thread, lowest priority level first.
+  template <typename F>
+  void ForEachReady(F f) const {
+    for (uint32_t mask = ready_mask_; mask != 0; mask &= mask - 1) {
+      for (ThreadId tid : ready_[__builtin_ctz(mask)]) {
+        f(*tcbs_[tid - 1]);
+      }
+    }
+  }
 
-  // All ready-queue pushes and the boosted/penalized/inherited flags go through these so the
-  // non-empty-level bitmask and the modifier counters stay exact. The counters exist to let
-  // SelectReady take its find-first-set fast path (and HandleTick skip its clear sweep) in the
-  // common case where no thread carries a scheduling modifier.
+  // Ready-queue pushes and pops and the modifier flags go through these so the level bitmask and
+  // modifier counters stay exact and best_ready_ goes stale. The counters let SelectReady and
+  // BestReadyPriority take their find-first-set fast paths (and HandleTick skip its clear sweep)
+  // in the common case where no thread carries a scheduling modifier.
   void PushReady(Tcb& tcb, bool front = false);
+  // Takes a running thread off its processor, unboosted, back onto its ready queue.
+  void Requeue(Tcb& tcb, bool front = false);
   void SyncReadyMask(int priority) {
+    best_ready_ = kBestReadyStale;
     if (ready_[priority].empty()) {
       ready_mask_ &= ~(1u << priority);
     }

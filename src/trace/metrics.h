@@ -25,6 +25,8 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <utility>
 
 namespace trace {
 
@@ -98,12 +100,8 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  Counter* counter(std::string_view name) {
-    return &counters_.try_emplace(std::string(name)).first->second;
-  }
-  Log2Histogram* histogram(std::string_view name) {
-    return &histograms_.try_emplace(std::string(name)).first->second;
-  }
+  Counter* counter(std::string_view name) { return &Register(counters_, name); }
+  Log2Histogram* histogram(std::string_view name) { return &Register(histograms_, name); }
 
   // Read-only lookups for tests and tools; nullptr when never registered.
   const Counter* FindCounter(std::string_view name) const {
@@ -130,6 +128,17 @@ class MetricsRegistry {
   void WriteJson(std::ostream& os) const;
 
  private:
+  // One tree walk whether or not `name` is new; the key string is built only to insert it.
+  template <typename Map>
+  static typename Map::mapped_type& Register(Map& map, std::string_view name) {
+    auto it = map.lower_bound(name);
+    if (it == map.end() || it->first != name) {
+      it = map.emplace_hint(it, std::piecewise_construct, std::forward_as_tuple(name),
+                            std::forward_as_tuple());
+    }
+    return it->second;
+  }
+
   // Heterogeneous comparator so string_view lookups don't allocate.
   std::map<std::string, Counter, std::less<>> counters_;
   std::map<std::string, Log2Histogram, std::less<>> histograms_;

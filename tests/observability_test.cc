@@ -383,6 +383,44 @@ TEST(MetricsTest, RegistryHandlesAreStableAndJsonIsDeterministic) {
   EXPECT_EQ(reg.FindCounter("nope"), nullptr);
 }
 
+// Registration is register-or-get in one tree walk: a repeated name, even one longer than the
+// short-string buffer, returns the handle it got first and adds no entry.
+TEST(MetricsTest, RepeatedLookupsReturnTheFirstHandleAndAddNothing) {
+  const std::string long_name = "monitor.a-name-past-the-short-string-buffer.contentions";
+  trace::MetricsRegistry reg;
+  trace::Counter* c = reg.counter("monitor.contentions");
+  trace::Counter* long_counter = reg.counter(long_name);
+  trace::Log2Histogram* h = reg.histogram("monitor.hold_us");
+  reg.counter("a")->Add(1);
+  c->Add(2);
+  long_counter->Add(3);
+  h->Record(5);
+  std::ostringstream first;
+  reg.WriteJson(first);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(reg.counter("monitor.contentions"), c);
+    EXPECT_EQ(reg.counter(std::string_view(long_name)), long_counter);
+    EXPECT_EQ(reg.histogram("monitor.hold_us"), h);
+  }
+  EXPECT_EQ(reg.counter_count(), 3u);
+  EXPECT_EQ(reg.histogram_count(), 1u);
+  std::ostringstream again;
+  reg.WriteJson(again);
+  EXPECT_EQ(again.str(), first.str());
+  EXPECT_EQ(again.str(),
+            "{\n"
+            "  \"counters\": {\n"
+            "    \"a\": 1,\n"
+            "    \"monitor.a-name-past-the-short-string-buffer.contentions\": 3,\n"
+            "    \"monitor.contentions\": 2\n"
+            "  },\n"
+            "  \"histograms\": {\n"
+            "    \"monitor.hold_us\": {\"count\": 1, \"sum\": 5, \"max\": 5, "
+            "\"buckets\": [0, 0, 0, 1]}\n"
+            "  }\n"
+            "}\n");
+}
+
 // The acceptance check for the metrics channel: where the registry and the post-hoc trace
 // statistics measure the same thing, they must agree exactly on the same run.
 TEST(MetricsTest, CountersAgreeWithPostHocStats) {

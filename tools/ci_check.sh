@@ -1,14 +1,15 @@
 #!/bin/sh
-# CI gate: build Release and a sanitized Debug, run the full test suite in both, then the
-# host-timing gates.
+# CI gate: build Release, a sanitized Debug and a UBSan Debug, run the full test suite in each,
+# then the host-timing gates.
 #
 #   tools/ci_check.sh [sanitizer]       # sanitizer: address (default) or thread
 #
-# Build trees go to build-ci-release/, build-ci-ucontext/, and build-ci-<sanitizer>/ next to
-# the source tree; override with BUILD_RELEASE / BUILD_UCONTEXT / BUILD_SANITIZED. The
-# sanitized pass catches memory errors the virtual-time runtime can otherwise hide (fiber
-# stacks are mmap'd, so plain runs rarely crash); the fiber-switch annotations in
-# src/pcr/fiber.cc keep ASan correct across both the assembly and ucontext switch paths.
+# Build trees go to build-ci-release/, build-ci-ucontext/, build-ci-<sanitizer>/ and
+# build-ci-undefined/ next to the source tree; override with BUILD_RELEASE / BUILD_UCONTEXT /
+# BUILD_SANITIZED / BUILD_UBSAN. The sanitized pass catches memory errors the virtual-time
+# runtime can otherwise hide (fiber stacks are mmap'd, so plain runs rarely crash); the
+# fiber-switch annotations in src/pcr/fiber.cc keep ASan correct across both the assembly and
+# ucontext switch paths. The UBSan pass is the one sanitizer leg under which checkpoints run.
 set -eu
 
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
@@ -166,6 +167,20 @@ timeout 60 "$BUILD_SANITIZED/tools/pcrcheck" --campaign="$ROOT/tests/corpus" \
   --campaign-rounds=0 --campaign-status-json="$BUILD_SANITIZED/ci_campaign_status.json"
 python3 -m json.tool "$BUILD_SANITIZED/ci_campaign_status.json" > /dev/null
 
+# UBSan leg: -fsanitize=undefined keeps no shadow state, so pcr::Checkpoint stays supported and
+# this leg runs the same-address stack restore, with checkpoint-and-branch exploration and the
+# campaign's checkpointed replays on top of it. -fno-sanitize-recover turns every report into a
+# failed test. Debug, so the scheduler also checks each ready-set answer it kept against a fresh
+# scan. The labels run again after the full suite so a failure there is named on its own.
+BUILD_UBSAN=${BUILD_UBSAN:-"$ROOT/build-ci-undefined"}
+echo "== Debug build with -fsanitize=undefined"
+cmake -B "$BUILD_UBSAN" -S "$ROOT" -DCMAKE_BUILD_TYPE=Debug -DPCR_SANITIZE=undefined > /dev/null
+cmake --build "$BUILD_UBSAN" -j"$JOBS"
+(cd "$BUILD_UBSAN" && ctest --output-on-failure -j"$JOBS")
+(cd "$BUILD_UBSAN" && ctest --output-on-failure -j"$JOBS" -L checkpoint)
+(cd "$BUILD_UBSAN" && ctest --output-on-failure -j"$JOBS" -L dpor)
+(cd "$BUILD_UBSAN" && ctest --output-on-failure -j"$JOBS" -L campaign)
+
 # Host-timing gates, last: they time this host's CPU, so a slow or crowded window can fail
 # them when the code is fine, and a failure here must not hide the deterministic legs above.
 # Each gate runs even when an earlier one failed; the script fails if any of them did.
@@ -190,4 +205,4 @@ if [ -n "$TIMING_FAILED" ]; then
   exit 1
 fi
 
-echo "== ci_check: all green (Release + $SANITIZER)"
+echo "== ci_check: all green (Release + $SANITIZER + undefined)"
