@@ -13,6 +13,11 @@ namespace explore {
 
 namespace {
 
+// Rounds between two rewrites of the status JSON (it is also written at the end).
+constexpr int kStatusEvery = 10;
+// Corpus admission stops past this many entries (coverage is still counted).
+constexpr size_t kMaxCorpusEntries = 4096;
+
 std::vector<Decision> TrimTrailingDefaults(std::vector<Decision> decisions) {
   while (!decisions.empty() && decisions.back() == 0) {
     decisions.pop_back();
@@ -149,7 +154,6 @@ Campaign::Campaign(std::vector<BugScenario> scenarios, CampaignOptions options)
     ExploreOptions opts = slot.scenario.options;
     opts.scenario_name = slot.scenario.name;
     opts.collect_coverage = true;
-    opts.coverage_stride = options_.coverage_stride;
     opts.coverage_salt = Corpus::ContentHash(slot.scenario.name);
     slot.explorer = std::make_unique<Explorer>(opts);
     slots_.push_back(std::move(slot));
@@ -243,7 +247,7 @@ void Campaign::RunBatch(const std::vector<std::string>& repros, bool admit,
     }
     ++status_.inputs_run;
     bool new_coverage = MergeCoverage(outcomes[k]);
-    if (admit && new_coverage && corpus_.entries().size() < options_.max_corpus_entries) {
+    if (admit && new_coverage && corpus_.entries().size() < kMaxCorpusEntries) {
       corpus_.Add(outcomes[k].repro);
       status_.corpus_entries = corpus_.entries().size();
     }
@@ -355,8 +359,7 @@ void Campaign::MaybeWriteStatus(bool force) {
   if (options_.status_json_path.empty()) {
     return;
   }
-  if (!force && (options_.status_every <= 0 ||
-                 status_.rounds_completed % options_.status_every != 0)) {
+  if (!force && status_.rounds_completed % kStatusEvery != 0) {
     return;
   }
   std::vector<std::string> names;

@@ -83,10 +83,7 @@ struct CampaignOptions {
   int batch = 16;                // candidates per round
   uint64_t seed = 1;             // master seed for parent picks + mutations
   int workers = 0;               // WorkerPool size (0 = hardware concurrency)
-  std::string status_json_path;  // "" = no status file
-  int status_every = 10;         // rewrite the status JSON every N rounds (and at the end)
-  size_t coverage_stride = 64;   // prefix-hash stride fed to the Explorer
-  size_t max_corpus_entries = 4096;  // admission stops past this (coverage still counted)
+  std::string status_json_path;  // "" = no status file; rewritten every 10 rounds and at the end
 };
 
 // Rolling campaign state; also the schema of the status JSON (WriteStatusJson). Everything

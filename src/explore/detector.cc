@@ -16,6 +16,13 @@ using trace::ObjectId;
 using trace::ThreadId;
 using trace::Usec;
 
+// Minimum completed (all-timeout) waits before a CV is called timeout driven.
+constexpr int kTimeoutDrivenMinWaits = 3;
+// Minimum no-op notifies before a CV is called a missed rendezvous.
+constexpr int kNotifyNoWaiterMin = 3;
+// Per-cell cap on distinct (thread, lockset, kind) access summaries kept for the race check.
+constexpr size_t kMaxAccessSummaries = 64;
+
 // Dense vector clock: index = thread id, value = logical time, 0 = never ticked. Thread ids
 // are small consecutive integers in these traces, so a flat vector turns every clock
 // operation (tick, join, compare) into plain indexed loads — the detector runs once per
@@ -115,8 +122,6 @@ std::string_view FindingKindName(FindingKind kind) {
 // The complete fold state of the analysis. Everything is a value type, so the compiler-generated
 // copy is exactly the deep copy TraceAnalyzer's copy constructor promises.
 struct TraceAnalyzer::State {
-  DetectorOptions options;
-
   std::vector<VectorClock> clocks;  // tid-indexed
   std::vector<Lockset> held;        // tid-indexed
   std::unordered_map<ObjectId, VectorClock> monitor_release;
@@ -158,9 +163,7 @@ struct TraceAnalyzer::State {
   }
 };
 
-TraceAnalyzer::TraceAnalyzer(const DetectorOptions& options) : state_(new State{}) {
-  state_->options = options;
-}
+TraceAnalyzer::TraceAnalyzer() : state_(new State{}) {}
 TraceAnalyzer::TraceAnalyzer(const TraceAnalyzer& other) : state_(new State(*other.state_)) {}
 TraceAnalyzer& TraceAnalyzer::operator=(const TraceAnalyzer& other) {
   if (this != &other) {
@@ -308,7 +311,7 @@ void TraceAnalyzer::Feed(const Event& e) {
       }
       if (matches >= 2) {
         *latest = Access{t, is_write, locks, s.clocks[t], e.time_us};  // refresh latest slot
-      } else if (cell.accesses.size() < s.options.max_access_summaries) {
+      } else if (cell.accesses.size() < kMaxAccessSummaries) {
         cell.accesses.push_back(Access{t, is_write, locks, s.clocks[t], e.time_us});
       }
       break;
@@ -362,7 +365,7 @@ std::vector<Finding> TraceAnalyzer::Finish() {
   }
 
   for (const auto& [cv_id, cv] : s.cvs) {
-    if (cv.timeouts >= s.options.timeout_driven_min_waits && cv.notified == 0) {
+    if (cv.timeouts >= kTimeoutDrivenMinWaits && cv.notified == 0) {
       std::ostringstream detail;
       detail << "cv " << cv_id << ": all " << cv.timeouts
              << " completed waits ended by timeout, none by notify — timeout driven "
@@ -373,7 +376,7 @@ std::vector<Finding> TraceAnalyzer::Finish() {
     // Requires >= 2 waits: a thread that waits and is never woken hangs in its first WAIT, so
     // repeated waits alongside all-no-op notifies means timeouts are doing the waking — a
     // genuinely missed rendezvous, not a schedule that merely delayed one waiter.
-    if (cv.notifies >= s.options.notify_no_waiter_min && cv.notifies_woke == 0 &&
+    if (cv.notifies >= kNotifyNoWaiterMin && cv.notifies_woke == 0 &&
         cv.waits_started >= 2) {
       std::ostringstream detail;
       detail << "cv " << cv_id << ": " << cv.notifies << " notifies woke nobody while "
@@ -386,8 +389,8 @@ std::vector<Finding> TraceAnalyzer::Finish() {
   return findings;
 }
 
-std::vector<Finding> AnalyzeTrace(const trace::Tracer& tracer, const DetectorOptions& options) {
-  TraceAnalyzer analyzer(options);
+std::vector<Finding> AnalyzeTrace(const trace::Tracer& tracer) {
+  TraceAnalyzer analyzer;
   for (const Event& e : tracer.view()) {
     analyzer.Feed(e);
   }

@@ -53,15 +53,6 @@ struct Finding {
   }
 };
 
-struct DetectorOptions {
-  // Minimum completed (all-timeout) waits before a CV is called timeout driven.
-  int timeout_driven_min_waits = 3;
-  // Minimum no-op notifies before a CV is called a missed rendezvous.
-  int notify_no_waiter_min = 3;
-  // Per-cell cap on distinct (thread, lockset, kind) access summaries kept for the race check.
-  size_t max_access_summaries = 64;
-};
-
 // Resumable form of AnalyzeTrace. The analysis is a strict left fold over the event stream, so
 // feeding events [0, n) and then [n, end) through one analyzer yields exactly the findings of a
 // single full-trace pass. The explorer exploits this the same way it reuses trace-hash prefixes:
@@ -71,7 +62,7 @@ struct DetectorOptions {
 // accumulated state; call it on a copy (or at most once, as the last call).
 class TraceAnalyzer {
  public:
-  explicit TraceAnalyzer(const DetectorOptions& options = {});
+  TraceAnalyzer();
   TraceAnalyzer(const TraceAnalyzer& other);
   TraceAnalyzer& operator=(const TraceAnalyzer& other);
   TraceAnalyzer(TraceAnalyzer&&) noexcept;
@@ -86,7 +77,7 @@ class TraceAnalyzer {
   std::unique_ptr<State> state_;
 };
 
-std::vector<Finding> AnalyzeTrace(const trace::Tracer& tracer, const DetectorOptions& options = {});
+std::vector<Finding> AnalyzeTrace(const trace::Tracer& tracer);
 
 // Multi-line human-readable report ("" when empty).
 std::string RenderFindings(const std::vector<Finding>& findings);

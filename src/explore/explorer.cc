@@ -4,6 +4,7 @@
 #include <chrono>
 #include <exception>
 #include <memory>
+#include <optional>
 #include <random>
 #include <unordered_set>
 #include <utility>
@@ -27,116 +28,194 @@ std::vector<Decision> TrimTrailingDefaults(std::vector<Decision> decisions) {
 
 using ProfileClock = std::chrono::steady_clock;
 
-int64_t NsSince(ProfileClock::time_point start) {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(ProfileClock::now() - start)
-      .count();
+double SecSince(ProfileClock::time_point start) {
+  return std::chrono::duration<double>(ProfileClock::now() - start).count();
 }
 
-double SecSince(ProfileClock::time_point start) {
-  return static_cast<double>(NsSince(start)) * 1e-9;
+// Each group's i.i.d. noise on top of its PCT change points: the chance a ForcePreempt
+// consultation fires, and the chance a ready-queue tie-break picks a random candidate.
+constexpr double kPreemptProbability = 0.15;
+constexpr double kShuffleProbability = 0.3;
+
+// Events between two coverage prefix hashes (ExploreOptions::collect_coverage).
+constexpr size_t kCoverageStride = 64;
+
+// Exec-fiber stack: holds the scenario body's own frame plus the scheduler run loop, while
+// every simulated thread runs on its own fiber stack.
+constexpr size_t kExecStackBytes = 256 * 1024;
+
+pcr::Config RunConfig(pcr::Config config, uint64_t runtime_seed, WorkerArena& arena) {
+  config.seed = runtime_seed;
+  config.trace_events = true;  // the trace is the whole point
+  config.stack_pool = &arena.stacks;
+  return config;
+}
+
+// Cells covered by one child subtree rooted at tree level `level` (1-based): the product of
+// the fanouts strictly below that level. Leaves (level == fanout.size()) have stride 1.
+int SubtreeStride(const std::vector<int>& fanout, size_t level) {
+  int stride = 1;
+  for (size_t l = level; l < fanout.size(); ++l) {
+    stride *= fanout[l];
+  }
+  return stride;
+}
+
+// The decision seed of child `c` past segment boundary `level` (1-based). Past the first
+// boundary it also mixes in the trace-prefix fingerprint `f` there (see GroupPlan).
+uint64_t SegmentSeed(uint64_t q0, size_t level, int c, uint64_t f) {
+  return level == 1 ? MixSeed(q0, 1, static_cast<uint64_t>(c))
+                    : MixSeed(q0 ^ f, level, static_cast<uint64_t>(c));
+}
+
+// Adds one worker's run counters to the Explore call's profile.
+void AddRunCounters(const ExploreProfile& worker, ExploreProfile* total) {
+  total->run_sec += worker.run_sec;
+  total->detector_sec += worker.detector_sec;
+  total->fiber_switches += worker.fiber_switches;
+  total->stack_acquires += worker.stack_acquires;
+  total->stack_pool_hits += worker.stack_pool_hits;
+  total->checkpoint_saves += worker.checkpoint_saves;
+  total->checkpoint_resumes += worker.checkpoint_resumes;
+  total->checkpoint_bytes += worker.checkpoint_bytes;
+  total->pruned_schedules += worker.pruned_schedules;
+  total->dpor_pruned += worker.dpor_pruned;
+  total->drain_spliced += worker.drain_spliced;
 }
 
 }  // namespace
 
 Explorer::Explorer(ExploreOptions options) : options_(std::move(options)) {}
 
-ScheduleOutcome Explorer::RunPlan(const Plan& plan, int schedule_index, const TestBody& body,
-                                  WorkerArena& arena, trace::Tracer* capture,
-                                  std::vector<ConsultRecord>* consult_log) {
-  pcr::Config config = options_.base_config;
-  config.seed = plan.runtime_seed;
-  config.trace_events = true;  // the trace is the whole point
-  config.stack_pool = &arena.stacks;
+struct Explorer::TraceFold {
+  TraceHasher hasher;
+  TraceAnalyzer analyzer;
+  size_t events = 0;  // both folds cover the run's first `events` events
+};
 
-  ScheduleOutcome outcome;
-  outcome.schedule_index = schedule_index;
-
-  RecordingPerturber recorder(plan.policy);
-  ReplayPerturber replayer(plan.replay);
-  fault::Injector injector(plan.fault_plan);
-
-  pcr::Runtime rt(config);
-  rt.tracer().AdoptEventBuffer(std::move(arena.trace_buffer));
-  TestContext ctx;
-  if (plan.replay_mode) {
-    rt.scheduler().set_perturber(&replayer);
-  } else {
-    rt.scheduler().set_perturber(&recorder);
-    if (consult_log != nullptr) {
-      recorder.EnableConsultLog(&rt.tracer());  // the baseline's decision-density sample
+// One explored Runtime, set up alike for every run: the Config with the run's seed on the
+// arena's stacks, the arena's trace buffer, the recorder (or a replayer in its place) and, when
+// the plan is armed, the fault injector. The destructor adds the substrate counters to the
+// arena's profile and hands the trace buffer back, so whatever reads the trace runs first.
+class Explorer::Harness {
+ public:
+  Harness(const pcr::Config& base, WorkerArena& arena, uint64_t runtime_seed,
+          const fault::Plan& faults, const PerturbPolicy& policy,
+          pcr::SchedulePerturber* replayer = nullptr)
+      : recorder(policy), injector(faults), rt(RunConfig(base, runtime_seed, arena)),
+        arena(arena) {
+    rt.tracer().AdoptEventBuffer(std::move(arena.trace_buffer));
+    rt.scheduler().set_perturber(replayer != nullptr ? replayer : &recorder);
+    if (faults.enabled()) {
+      rt.scheduler().set_fault_injector(&injector);
     }
   }
-  if (plan.fault_plan.enabled()) {
-    rt.scheduler().set_fault_injector(&injector);
+  // A group member: the group's policy, with `segment_hook` firing at its boundaries and the
+  // consultation log kept when the group prunes leaves.
+  Harness(const pcr::Config& base, WorkerArena& arena, const GroupPlan& group,
+          const std::function<void(int)>* segment_hook)
+      : Harness(base, arena, group.runtime_seed, group.fault_plan, group.policy) {
+    if (group.dpor) {
+      recorder.EnableConsultLog(&rt.tracer());
+    }
+    recorder.SetSegmentBoundaries(group.depths);
+    recorder.set_segment_hook(segment_hook);
   }
-  const auto run_start = ProfileClock::now();
-  try {
-    body(rt, ctx);
-  } catch (const std::exception& e) {
-    ctx.Fail(std::string("uncaught exception: ") + e.what());
+  Harness(const Harness&) = delete;
+  Harness& operator=(const Harness&) = delete;
+  ~Harness() {
+    rt.scheduler().set_perturber(nullptr);
+    rt.scheduler().set_fault_injector(nullptr);
+    arena.profile.fiber_switches += rt.scheduler().fiber_switches();
+    arena.profile.stack_acquires += rt.scheduler().stack_acquires();
+    arena.profile.stack_pool_hits += rt.scheduler().stack_pool_hits();
+    arena.trace_buffer = rt.tracer().TakeEventBuffer();
   }
-  rt.Shutdown();
-  rt.scheduler().set_perturber(nullptr);
-  rt.scheduler().set_fault_injector(nullptr);
-  run_ns_.fetch_add(NsSince(run_start), std::memory_order_relaxed);
-  fiber_switches_.fetch_add(rt.scheduler().fiber_switches(), std::memory_order_relaxed);
-  stack_acquires_.fetch_add(rt.scheduler().stack_acquires(), std::memory_order_relaxed);
-  stack_pool_hits_.fetch_add(rt.scheduler().stack_pool_hits(), std::memory_order_relaxed);
+
+  // The body, then Shutdown. An exception escaping the body fails the run. Inlined into its
+  // callers, so the exec fiber holds one frame under the body, as every snapshot's byte count
+  // assumes.
+  [[gnu::always_inline]] void RunBody(const TestBody& body) {
+    try {
+      body(rt, ctx);
+    } catch (const std::exception& e) {
+      ctx.Fail(std::string("uncaught exception: ") + e.what());
+    }
+    rt.Shutdown();
+  }
+  // RunBody on the calling frame, timed into the profile.
+  void Run(const TestBody& body) {
+    const auto start = ProfileClock::now();
+    RunBody(body);
+    arena.profile.run_sec += SecSince(start);
+  }
+
+  // Host-frame run state: the scheduler holds pointers to these, and a checkpoint restore
+  // rewinds them by copy-assignment (their addresses never change, only their contents).
+  RecordingPerturber recorder;
+  fault::Injector injector;
+  pcr::Runtime rt;
+  TestContext ctx;
+  WorkerArena& arena;
+};
+
+ScheduleOutcome Explorer::RunPlan(const Plan& plan, int schedule_index, const TestBody& body,
+                                  WorkerArena& arena, trace::Tracer* capture,
+                                  std::vector<ConsultRecord>* consult_log) const {
+  ReplayPerturber replayer(plan.replay);
+  Harness run(options_.base_config, arena, plan.runtime_seed, plan.fault_plan, PerturbPolicy{},
+              plan.replay_mode ? &replayer : nullptr);
+  if (consult_log != nullptr) {
+    run.recorder.EnableConsultLog(&run.rt.tracer());  // the baseline's decision-density sample
+  }
+  run.Run(body);
 
   if (capture != nullptr) {
     // Symbol ids in the captured events are only meaningful against the run's own table, so
     // the capture tracer's table is replaced wholesale (SymbolTable copies rebuild the index).
-    capture->symbols() = rt.tracer().symbols();
-    for (const trace::Event& e : rt.tracer().view()) {
+    capture->symbols() = run.rt.tracer().symbols();
+    for (const trace::Event& e : run.rt.tracer().view()) {
       capture->Record(e);
     }
   }
 
-  FillOutcome(rt.tracer(), ctx, recorder.preempt_points_seen(),
-              plan.replay_mode ? 0 : recorder.total_consults(), injector.fired(), schedule_index,
-              &outcome);
+  ScheduleOutcome outcome;
+  FillOutcome(run, schedule_index, &outcome);
   // Every outcome carries its repro here, passing or not: the campaign stores the repros of
   // passing replays as corpus entries.
-  outcome.repro = Repro(plan.replay_mode ? replayer.consumed() : recorder.decisions(),
+  outcome.repro = Repro(plan.replay_mode ? replayer.consumed() : run.recorder.decisions(),
                         plan.runtime_seed, plan.fault_plan);
-  if (consult_log != nullptr && !plan.replay_mode) {
-    *consult_log = recorder.consult_log();
+  if (consult_log != nullptr) {
+    *consult_log = run.recorder.consult_log();
   }
-  // Everything that reads the trace (capture, detector, hash) has run; reclaim the buffer's
-  // capacity for this worker's next run. The runtime's fibers are already torn down (Shutdown
-  // above), so their stacks are parked in the arena pool by now too.
-  arena.trace_buffer = rt.tracer().TakeEventBuffer();
   return outcome;
 }
 
-void Explorer::FillOutcome(trace::Tracer& tracer, const TestContext& ctx,
-                           uint64_t preempt_points, uint64_t total_decisions,
-                           const std::vector<fault::ScriptedFault>& fired, int schedule_index,
-                           ScheduleOutcome* out,
-                           const TraceHasher* resume_hasher, size_t resume_events,
-                           const TraceAnalyzer* resume_analyzer) {
+void Explorer::FillOutcome(Harness& run, int schedule_index, ScheduleOutcome* out,
+                           const TraceFold* resume) const {
+  const trace::Tracer& tracer = run.rt.tracer();
   out->schedule_index = schedule_index;
   const auto detector_start = ProfileClock::now();
-  if (resume_analyzer != nullptr) {
+  if (resume != nullptr) {
     // O(suffix) analysis: the detector is a left fold over the event stream, so resuming a
-    // prefix-fed analyzer over events [resume_events, end) yields exactly the findings of a
+    // prefix-fed analyzer over events [resume->events, end) yields exactly the findings of a
     // full-trace pass (the equivalence suite checks this against from-zero mode).
-    TraceAnalyzer analyzer(*resume_analyzer);
-    for (const trace::Event& e : tracer.view(resume_events)) {
+    TraceAnalyzer analyzer(resume->analyzer);
+    for (const trace::Event& e : tracer.view(resume->events)) {
       analyzer.Feed(e);
     }
     out->findings = analyzer.Finish();
   } else {
-    out->findings = AnalyzeTrace(tracer, options_.detector);
+    out->findings = AnalyzeTrace(tracer);
   }
-  detector_ns_.fetch_add(NsSince(detector_start), std::memory_order_relaxed);
+  run.arena.profile.detector_sec += SecSince(detector_start);
   std::vector<uint64_t> prefix_hashes;
   if (options_.collect_coverage) {
-    prefix_hashes = TracePrefixHashes(tracer, options_.coverage_stride);
+    prefix_hashes = TracePrefixHashes(tracer, kCoverageStride);
   }
-  if (resume_hasher != nullptr) {
-    TraceHasher hasher = *resume_hasher;
-    for (const trace::Event& e : tracer.view(resume_events)) {
+  if (resume != nullptr) {
+    TraceHasher hasher = resume->hasher;
+    for (const trace::Event& e : tracer.view(resume->events)) {
       hasher.Mix(e);
     }
     out->trace_hash = hasher.value();
@@ -156,16 +235,17 @@ void Explorer::FillOutcome(trace::Tracer& tracer, const TestContext& ctx,
     out->coverage.erase(std::unique(out->coverage.begin(), out->coverage.end()),
                         out->coverage.end());
   }
-  out->failures = ctx.failures();
+  out->failures = run.ctx.failures();
   if (options_.fail_on_findings) {
     for (const Finding& f : out->findings) {
       out->failures.push_back(std::string(FindingKindName(f.kind)) + ": " + f.detail);
     }
   }
   out->failed = !out->failures.empty();
-  out->preempt_points = preempt_points;
-  out->total_decisions = total_decisions;
-  out->fired_faults = fired;
+  // An unused recorder (a replayed run) reports zero for both.
+  out->preempt_points = run.recorder.preempt_points_seen();
+  out->total_decisions = run.recorder.total_consults();
+  out->fired_faults = run.injector.fired();
 }
 
 std::string Explorer::Repro(const std::vector<Decision>& decisions, uint64_t runtime_seed,
@@ -174,538 +254,336 @@ std::string Explorer::Repro(const std::vector<Decision>& decisions, uint64_t run
                      fault_plan.enabled() ? fault_plan.Encode() : std::string());
 }
 
-namespace {
+// How the walk reaches the runs of one group. The walk stands at a node of the group's tree:
+// the group's start (level 0), or a run paused at depths[level - 1].
+class Explorer::GroupCursor {
+ public:
+  GroupCursor(const Explorer& explorer, const GroupPlan& group, const TestBody& body,
+              WorkerArena& arena)
+      : explorer_(explorer), group_(group), body_(body), arena_(arena) {}
+  GroupCursor(const GroupCursor&) = delete;  // the run state's hooks capture `this`
+  GroupCursor& operator=(const GroupCursor&) = delete;
+  virtual ~GroupCursor() = default;
 
-// Fills a pruned cell from the cell that stands in for it: the trace hash is all the merge
-// reads of it (see RunGroupCheckpoint in explorer.h).
-void MarkPruned(const ScheduleOutcome& src, ScheduleOutcome* dst) {
-  dst->trace_hash = src.trace_hash;
-}
+  // Runs child `c` of the node at `level` with decision seed `seed`, until the run pauses at
+  // depths[level] (true) or ends (false). Child 0 continues the node's own run; a child c > 0
+  // branches off the node.
+  virtual bool Advance(size_t level, int c, uint64_t seed) = 0;
+  // The trace-prefix fingerprint of the paused run.
+  virtual uint64_t fingerprint() const = 0;
+  // Bracket the walk's descent into the paused run's subtree.
+  virtual void Enter() {}
+  virtual void Leave() {}
 
-// Exec-fiber stack: holds the scenario body's own frame plus the scheduler run loop, while
-// every simulated thread runs on its own fiber stack.
-constexpr size_t kExecStackBytes = 256 * 1024;
-
-// Cells covered by one child subtree rooted at tree level `level` (1-based): the product of
-// the fanouts strictly below that level. Leaves (level == fanout.size()) have stride 1.
-int SubtreeStride(const std::vector<int>& fanout, size_t level) {
-  int stride = 1;
-  for (size_t l = level; l < fanout.size(); ++l) {
-    stride *= fanout[l];
-  }
-  return stride;
-}
-
-// A leaf run can anchor dpor pruning only when copying its outcome over a sibling is provably
-// lossless: it passed with no findings and no fired faults, and its consultation log is
-// complete (one record per consultation, nowhere near the recording cap).
-bool WitnessEligible(const ScheduleOutcome& out, const RecordingPerturber& recorder) {
-  return !out.failed && out.findings.empty() && out.fired_faults.empty() &&
-         recorder.total_consults() < kMaxRecordedDecisions &&
-         recorder.consult_log().size() == recorder.total_consults();
-}
-
-}  // namespace
-
-ScheduleOutcome Explorer::RunGroupMember(const GroupPlan& group, const std::vector<int>& path,
-                                         const TestBody& body, WorkerArena& arena,
-                                         MemberProbe* probe) {
-  pcr::Config config = options_.base_config;
-  config.seed = group.runtime_seed;
-  config.trace_events = true;
-  config.stack_pool = &arena.stacks;
-
-  PerturbPolicy policy;
-  policy.seed = group.q0;
-  policy.preempt_probability = options_.preempt_probability;
-  policy.shuffle_probability = options_.shuffle_probability;
-  policy.change_points = group.change_points;
-  RecordingPerturber recorder(policy);
-  fault::Injector injector(group.fault_plan);
-
-  pcr::Runtime rt(config);
-  rt.tracer().AdoptEventBuffer(std::move(arena.trace_buffer));
-  TestContext ctx;
-  rt.scheduler().set_perturber(&recorder);
-  if (group.fault_plan.enabled()) {
-    rt.scheduler().set_fault_injector(&injector);
-  }
-  if (group.dpor) {
-    recorder.EnableConsultLog(&rt.tracer());
-  }
-
-  // From-zero execution of the same segmented decision stream the checkpoint path produces:
-  // reseeds fire inline at the segment boundaries instead of pausing, so the recorded
-  // decisions — and therefore the trace — are byte-identical between the two modes.
-  const size_t levels = group.depths.size();
-  int reached = 0;
-  std::vector<uint64_t> fingerprints(levels + 1, 0);
-  const std::function<void(int)> segment_hook = [&](int level) {
-    reached = level;
-    if (level == 1) {
-      recorder.ReseedSegment(MixSeed(group.q0, 1, static_cast<uint64_t>(path[0])));
-    } else {
-      uint64_t f = TraceHash(rt.tracer());
-      fingerprints[static_cast<size_t>(level)] = f;
-      recorder.ReseedSegment(MixSeed(group.q0 ^ f, static_cast<uint64_t>(level),
-                                     static_cast<uint64_t>(path[static_cast<size_t>(level) - 1])));
-    }
-  };
-  recorder.SetSegmentBoundaries(group.depths);
-  recorder.set_segment_hook(&segment_hook);
-
-  const auto run_start = ProfileClock::now();
-  try {
-    body(rt, ctx);
-  } catch (const std::exception& e) {
-    ctx.Fail(std::string("uncaught exception: ") + e.what());
-  }
-  rt.Shutdown();
-  rt.scheduler().set_perturber(nullptr);
-  rt.scheduler().set_fault_injector(nullptr);
-  run_ns_.fetch_add(NsSince(run_start), std::memory_order_relaxed);
-  fiber_switches_.fetch_add(rt.scheduler().fiber_switches(), std::memory_order_relaxed);
-  stack_acquires_.fetch_add(rt.scheduler().stack_acquires(), std::memory_order_relaxed);
-  stack_pool_hits_.fetch_add(rt.scheduler().stack_pool_hits(), std::memory_order_relaxed);
-
-  int cell = 0;
-  for (size_t l = 0; l < levels; ++l) {
-    cell += path[l] * SubtreeStride(group.fanout, l + 1);
-  }
-  ScheduleOutcome outcome;
-  FillOutcome(rt.tracer(), ctx, recorder.preempt_points_seen(), recorder.total_consults(),
-              injector.fired(), group.first_schedule + cell, &outcome);
-  if (outcome.failed) {
-    outcome.repro = Repro(recorder.decisions(), group.runtime_seed, group.fault_plan);
-  }
-  if (probe != nullptr) {
-    probe->reached = reached;
-    probe->fingerprints = fingerprints;
-    probe->witness_valid = group.dpor && reached == static_cast<int>(levels) &&
-                           WitnessEligible(outcome, recorder);
-    if (probe->witness_valid) {
-      const std::vector<ConsultRecord>& log = recorder.consult_log();
-      probe->suffix.assign(log.begin() + static_cast<ptrdiff_t>(group.depths.back()), log.end());
-      probe->independent_tail_event = IndependentTailStart(rt.tracer());
-    } else {
-      probe->suffix.clear();
-      probe->independent_tail_event = 0;
+  // The outcome of the run that just ended, with a repro only if it failed.
+  void Fill(int schedule_index, ScheduleOutcome* out) {
+    explorer_.FillOutcome(run(), schedule_index, out, resume());
+    if (out->failed) {
+      out->repro =
+          explorer_.Repro(run().recorder.decisions(), group_.runtime_seed, group_.fault_plan);
     }
   }
-  arena.trace_buffer = rt.tracer().TakeEventBuffer();
-  return outcome;
-}
-
-void Explorer::RunGroupReplay(const GroupPlan& group, const TestBody& body,
-                              std::vector<ScheduleOutcome>* outcomes, WorkerArena& arena) {
-  outcomes->assign(static_cast<size_t>(group.members), ScheduleOutcome{});
-  const int levels = static_cast<int>(group.depths.size());
-  PerturbPolicy policy;  // ClassifyLeaf reads only the probabilities
-  policy.preempt_probability = options_.preempt_probability;
-  policy.shuffle_probability = options_.shuffle_probability;
-  std::vector<uint64_t> sorted_points = group.change_points;
-  std::sort(sorted_points.begin(), sorted_points.end());
-
-  std::vector<int> path(static_cast<size_t>(levels), 0);
-
-  // Processes the subtree rooted at `level` (children diverge at depths[level-1]), covering
-  // cells [first_cell, first_cell + stride-of-this-node). `out` and `probe` come from the
-  // already-executed run of this node's all-zeros descendant path.
-  std::function<void(int, int, ScheduleOutcome&&, MemberProbe&&)> node =
-      [&](int level, int first_cell, ScheduleOutcome&& out, MemberProbe&& probe) {
-        const int stride = SubtreeStride(group.fanout, static_cast<size_t>(level));
-        const int node_cells =
-            std::min(SubtreeStride(group.fanout, static_cast<size_t>(level) - 1),
-                     group.members - first_cell);
-        if (probe.reached < level) {
-          // The run ended before this node's boundary: no reseed below it ever applies, so
-          // every cell of the subtree is the same schedule. One execution covers them all.
-          (*outcomes)[static_cast<size_t>(first_cell)] = std::move(out);
-          for (int m = 1; m < node_cells; ++m) {
-            MarkPruned((*outcomes)[static_cast<size_t>(first_cell)],
-                       &(*outcomes)[static_cast<size_t>(first_cell + m)]);
-          }
-          if (node_cells > 1) {
-            pruned_.fetch_add(node_cells - 1, std::memory_order_relaxed);
-          }
-          return;
-        }
-        if (level == levels) {
-          // Leaf parent: child 0 is the executed witness; classify each sibling's decision
-          // stream against its consultation log before paying for a run (sleep-set pruning).
-          (*outcomes)[static_cast<size_t>(first_cell)] = std::move(out);
-          LeafWitness witness{probe.suffix.data(), probe.suffix.size(),
-                              probe.independent_tail_event};
-          const uint64_t f = probe.fingerprints[static_cast<size_t>(levels)];
-          for (int j = 1; j < node_cells; ++j) {
-            if (group.dpor && probe.witness_valid) {
-              LeafVerdict v =
-                  ClassifyLeaf(MixSeed(group.q0 ^ f, static_cast<uint64_t>(levels),
-                                       static_cast<uint64_t>(j)),
-                               policy, sorted_points, witness);
-              if (v != LeafVerdict::kExecute) {
-                MarkPruned((*outcomes)[static_cast<size_t>(first_cell)],
-                           &(*outcomes)[static_cast<size_t>(first_cell + j)]);
-                pruned_.fetch_add(1, std::memory_order_relaxed);
-                if (v == LeafVerdict::kIdenticalPrune) {
-                  dpor_pruned_.fetch_add(1, std::memory_order_relaxed);
-                } else {
-                  drain_spliced_.fetch_add(1, std::memory_order_relaxed);
-                }
-                continue;
-              }
-            }
-            path[static_cast<size_t>(levels) - 1] = j;
-            (*outcomes)[static_cast<size_t>(first_cell + j)] =
-                RunGroupMember(group, path, body, arena, nullptr);
-          }
-          path[static_cast<size_t>(levels) - 1] = 0;
-          return;
-        }
-        // Inner node: fingerprint at the children's divergence depth -> child that first
-        // produced it, within this node only. The reseed below is a pure function of
-        // (q0, fingerprint, coordinate), so matching fingerprints guarantee identical
-        // continuations — pruning is exact, and both execution modes prune the same cells.
-        std::vector<std::pair<uint64_t, int>> seen_f;
-        for (int c = 0; c < group.fanout[static_cast<size_t>(level) - 1]; ++c) {
-          int child_first = first_cell + c * stride;
-          if (child_first >= group.members) {
-            break;
-          }
-          int cells = std::min(stride, group.members - child_first);
-          path[static_cast<size_t>(level) - 1] = c;
-          ScheduleOutcome child_out;
-          MemberProbe child_probe;
-          if (c == 0) {
-            child_out = std::move(out);
-            child_probe = std::move(probe);
-          } else {
-            child_out = RunGroupMember(group, path, body, arena, &child_probe);
-          }
-          if (child_probe.reached >= level + 1) {
-            const uint64_t f = child_probe.fingerprints[static_cast<size_t>(level) + 1];
-            int duplicate_of = -1;
-            for (const auto& [known, source] : seen_f) {
-              if (known == f) {
-                duplicate_of = source;
-                break;
-              }
-            }
-            if (duplicate_of >= 0) {
-              // Same prefix fingerprint at the child boundary: identical continuations, so
-              // copy that child's cells (the probe run just executed is discarded — the
-              // checkpoint path detects the match before running any descendant, and pruned
-              // counts must agree between modes).
-              int src = first_cell + duplicate_of * stride;
-              for (int j = 0; j < cells; ++j) {
-                MarkPruned((*outcomes)[static_cast<size_t>(src + j)],
-                           &(*outcomes)[static_cast<size_t>(child_first + j)]);
-              }
-              pruned_.fetch_add(cells, std::memory_order_relaxed);
-              continue;
-            }
-            seen_f.emplace_back(f, c);
-          }
-          node(level + 1, child_first, std::move(child_out), std::move(child_probe));
-        }
-        path[static_cast<size_t>(level) - 1] = 0;
-      };
-
-  MemberProbe probe;
-  ScheduleOutcome first = RunGroupMember(group, path, body, arena, &probe);
-  node(1, 0, std::move(first), std::move(probe));
-}
-
-bool Explorer::RunGroupCheckpoint(const GroupPlan& group, const TestBody& body,
-                                  std::vector<ScheduleOutcome>* outcomes, WorkerArena& arena) {
-  outcomes->assign(static_cast<size_t>(group.members), ScheduleOutcome{});
-
-  pcr::Config config = options_.base_config;
-  config.seed = group.runtime_seed;
-  config.trace_events = true;
-  config.stack_pool = &arena.stacks;
-
-  PerturbPolicy policy;
-  policy.seed = group.q0;
-  policy.preempt_probability = options_.preempt_probability;
-  policy.shuffle_probability = options_.shuffle_probability;
-  policy.change_points = group.change_points;
-  // Host-frame run state: the scheduler holds pointers to these, and branching restores them
-  // by copy-assignment (their addresses never change, only their contents rewind).
-  RecordingPerturber recorder(policy);
-  fault::Injector injector(group.fault_plan);
-
-  pcr::Runtime rt(config);
-  rt.tracer().AdoptEventBuffer(std::move(arena.trace_buffer));
-  TestContext ctx;
-  rt.scheduler().set_perturber(&recorder);
-  if (group.fault_plan.enabled()) {
-    rt.scheduler().set_fault_injector(&injector);
-  }
-  if (group.dpor) {
-    // The consultation log is plain recorder state, so the copy-assign restores below rewind
-    // it in lockstep with the decisions — leaf 0's log is identical to from-zero mode's.
-    recorder.EnableConsultLog(&rt.tracer());
+  // Leaf 0 of a leaf parent, whose outcome is `out`, can anchor DPOR pruning of its siblings
+  // only when copying its outcome over a sibling is provably lossless: it passed with no
+  // findings and no fired faults, and its consultation log is complete (one record per
+  // consultation, nowhere near the recording cap). Copies the log from the leaf boundary on and
+  // the trace's independent-tail start; false when the run cannot be the witness.
+  bool Witness(const ScheduleOutcome& out, std::vector<ConsultRecord>* suffix, uint64_t* tail) {
+    const RecordingPerturber& recorder = run().recorder;
+    const std::vector<ConsultRecord>& log = recorder.consult_log();
+    if (out.failed || !out.findings.empty() || !out.fired_faults.empty() ||
+        recorder.total_consults() >= kMaxRecordedDecisions ||
+        log.size() != recorder.total_consults() || log.size() <= group_.depths.back()) {
+      return false;
+    }
+    suffix->assign(log.begin() + static_cast<ptrdiff_t>(group_.depths.back()), log.end());
+    *tail = IndependentTailStart(run().rt.tracer());
+    return true;
   }
 
-  // The body runs on a dedicated exec fiber so the host frame can snapshot it mid-run: at a
-  // segment boundary the recorder parks the simulation (CheckpointPause), the scheduler fires
-  // the checkpoint hook from the exec stack, and the hook suspends the exec fiber — leaving
-  // every fiber quiescent with the host in control.
-  int pause_level = 0;
-  const std::function<void(int)> segment_hook = [&](int level) {
-    pause_level = level;
-    rt.scheduler().CheckpointPause();
-  };
-  recorder.SetSegmentBoundaries(group.depths);
-  recorder.set_segment_hook(&segment_hook);
+ protected:
+  // The run the last Advance reached, and the trace folds its suffix continues from.
+  virtual Harness& run() = 0;
+  virtual const TraceFold* resume() const { return nullptr; }
 
-  pcr::Fiber exec(
-      [&] {
-        try {
-          try {
-            body(rt, ctx);
-          } catch (const std::exception& e) {
-            ctx.Fail(std::string("uncaught exception: ") + e.what());
-          }
-          rt.Shutdown();
-        } catch (const pcr::CheckpointAbort&) {
-          // Group abandoned with this execution suspended mid-run: unwind quietly; the host
-          // already shut the simulated threads down.
-        }
-      },
-      arena.stacks.Acquire(kExecStackBytes), &arena.stacks);
-  rt.scheduler().set_checkpoint_hook([&exec] { exec.Suspend(); });
+  const Explorer& explorer_;
+  const GroupPlan& group_;
+  const TestBody& body_;
+  WorkerArena& arena_;
+};
 
-  // A fiber can pause mid-unwind: ~MonitorGuard's Exit charges virtual time. The exception in
-  // flight is heap state plus a per-OS-thread count that no Checkpoint rewinds, so such a
-  // pause is neither snapshotted nor restored past — the group is recomputed from zero.
+// Reaches every run of the group from one execution of the body on a dedicated exec fiber. At a
+// segment boundary the recorder parks the simulation (CheckpointPause), the scheduler fires the
+// checkpoint hook from the exec stack, and the hook suspends the exec fiber — leaving every
+// fiber quiescent with the host in control. Entering a node snapshots it; a child c > 0
+// restores the snapshot and runs only its own suffix (O(suffix) per schedule).
+class Explorer::CheckpointCursor : public Explorer::GroupCursor {
+ public:
+  // Thrown out of Advance when the run paused with an exception in flight. A fiber can pause
+  // mid-unwind: ~MonitorGuard's Exit charges virtual time. The exception is heap state plus a
+  // per-OS-thread count that no Checkpoint rewinds, so such a pause is neither snapshotted nor
+  // restored past.
   struct ExceptionInFlight {};
-  auto resume_exec = [&exec] {
-    exec.Resume();
-    if (!exec.finished() && std::uncaught_exceptions() > 0) {
+
+  CheckpointCursor(const Explorer& explorer, const GroupPlan& group, const TestBody& body,
+                   WorkerArena& arena)
+      : GroupCursor(explorer, group, body, arena),
+        run_(explorer.options_.base_config, arena, group, &pause_),
+        exec_(
+            [this] {
+              try {
+                run_.RunBody(body_);
+              } catch (const pcr::CheckpointAbort&) {
+                // Group abandoned with this execution suspended mid-run: unwind quietly; the
+                // host already shut the simulated threads down.
+              }
+            },
+            arena.stacks.Acquire(kExecStackBytes), &arena.stacks) {
+    run_.rt.scheduler().set_checkpoint_hook([this] { exec_.Suspend(); });
+    nodes_.reserve(group.depths.size());
+  }
+
+  ~CheckpointCursor() override {
+    // Checkpoints must die newest-first (LIFO fiber pins); a vector destroys front to back.
+    while (!nodes_.empty()) {
+      nodes_.pop_back();
+    }
+    if (std::uncaught_exceptions() > 0) {
+      // Advance threw ExceptionInFlight. Finish the paused run without further pauses, before
+      // the harness takes the trace buffer back. Shutting it down instead would throw
+      // ThreadKilled out of the fiber's destructor that is mid-unwind.
+      run_.recorder.set_segment_hook(nullptr);
+      Resume();
+    }
+    if (!exec_.finished()) {
+      // The last branch was pruned at its pause point: kill the simulated threads from the
+      // host, then unwind the suspended body via CheckpointAbort.
+      run_.rt.Shutdown();
+      run_.rt.scheduler().RequestCheckpointAbort();
+      Resume();
+    }
+    run_.rt.scheduler().set_checkpoint_hook(nullptr);
+    arena_.profile.checkpoint_saves += saves_;
+    arena_.profile.checkpoint_resumes += resumes_;
+    arena_.profile.checkpoint_bytes += bytes_;
+  }
+
+  bool Advance(size_t /*level*/, int c, uint64_t seed) override {
+    if (c > 0) {
+      NodeState& at = nodes_.back();
+      at.ckpt->Restore();
+      ++resumes_;
+      run_.recorder = at.recorder;
+      run_.injector = at.injector;
+      run_.ctx = at.ctx;
+    }
+    run_.recorder.ReseedSegment(seed);
+    Resume();
+    if (exec_.finished()) {
+      return false;
+    }
+    if (std::uncaught_exceptions() > 0) {
       throw ExceptionInFlight{};
     }
-  };
-
-  int64_t group_saves = 0;
-  int64_t group_resumes = 0;
-  int64_t group_bytes = 0;
-  int64_t group_pruned = 0;
-
-  auto fill_cell = [&](int cell, const TraceHasher* resume_hasher = nullptr,
-                       size_t resume_events = 0,
-                       const TraceAnalyzer* resume_analyzer = nullptr) {
-    ScheduleOutcome& out = (*outcomes)[static_cast<size_t>(cell)];
-    FillOutcome(rt.tracer(), ctx, recorder.preempt_points_seen(), recorder.total_consults(),
-                injector.fired(), group.first_schedule + cell, &out, resume_hasher,
-                resume_events, resume_analyzer);
-    if (out.failed) {
-      out.repro = Repro(recorder.decisions(), group.runtime_seed, group.fault_plan);
+    // Paused: fold the events since the node into the child's trace folds. No snapshot yet:
+    // a sibling with the same fingerprint is pruned before a checkpoint is spent on it.
+    const TraceFold* base = resume();
+    TraceFold fold = base != nullptr ? *base : TraceFold{};
+    for (const trace::Event& e : run_.rt.tracer().view(fold.events)) {
+      fold.hasher.Mix(e);
+      fold.analyzer.Feed(e);
     }
-  };
+    fold.events = run_.rt.tracer().size();
+    pending_ = std::move(fold);
+    return true;
+  }
+  uint64_t fingerprint() const override { return pending_.hasher.value(); }
+  void Enter() override {
+    nodes_.push_back(NodeState{run_.recorder, run_.injector, run_.ctx, std::move(pending_),
+                               std::make_unique<pcr::Checkpoint>(run_.rt.scheduler(),
+                                                                 run_.rt.tracer(), &exec_)});
+    ++saves_;
+    bytes_ += static_cast<int64_t>(nodes_.back().ckpt->bytes());
+  }
+  void Leave() override { nodes_.pop_back(); }
 
-  const int levels = static_cast<int>(group.depths.size());
-  std::vector<uint64_t> sorted_points = group.change_points;
-  std::sort(sorted_points.begin(), sorted_points.end());
+ protected:
+  Harness& run() override { return run_; }
+  const TraceFold* resume() const override {
+    return nodes_.empty() ? nullptr : &nodes_.back().fold;
+  }
 
-  // Host-frame snapshot taken alongside each checkpoint: the run state the scheduler's
-  // pointers refer to, plus the incremental trace folds carried to the pause point. The
-  // checkpoint is the last member so it is destroyed first (nothing here depends on it).
+ private:
+  // A node's host-frame run state and trace folds, beside the snapshot of the simulation. The
+  // checkpoint is the last member, so it is destroyed first.
   struct NodeState {
     RecordingPerturber recorder;
     fault::Injector injector;
     TestContext ctx;
-    TraceHasher hasher;
-    TraceAnalyzer analyzer;
-    size_t events = 0;
-    uint64_t fingerprint = 0;
+    TraceFold fold;
     std::unique_ptr<pcr::Checkpoint> ckpt;
   };
 
-  // Folds the events since `base` into a fresh NodeState (no checkpoint yet: siblings with a
-  // duplicate fingerprint are pruned before a snapshot is spent on them).
-  auto fold_node = [&](const TraceHasher& base_hasher, const TraceAnalyzer& base_analyzer,
-                       size_t base_events) {
-    NodeState n{recorder, injector, ctx, base_hasher, base_analyzer, 0, 0, nullptr};
-    for (const trace::Event& e : rt.tracer().view(base_events)) {
-      n.hasher.Mix(e);
-      n.analyzer.Feed(e);
+  // Runs the exec fiber until it pauses or ends, timed into the profile.
+  void Resume() {
+    const auto start = ProfileClock::now();
+    exec_.Resume();
+    arena_.profile.run_sec += SecSince(start);
+  }
+
+  const std::function<void(int)> pause_ = [this](int) { run_.rt.scheduler().CheckpointPause(); };
+  Harness run_;
+  pcr::Fiber exec_;
+  std::vector<NodeState> nodes_;  // the nodes the walk stands in, root first
+  TraceFold pending_;             // the paused run's folds, until Enter snapshots it
+  int64_t saves_ = 0;
+  int64_t resumes_ = 0;
+  int64_t bytes_ = 0;
+};
+
+// Reaches every run of the group by executing its path from zero: branching runs the member's
+// path, and continuing reads the run already made. Reseeds fire inline at the segment
+// boundaries instead of pausing, so the recorded decisions — and therefore the trace — are
+// byte-identical to the checkpoint cursor's.
+class Explorer::FromZeroCursor : public Explorer::GroupCursor {
+ public:
+  FromZeroCursor(const Explorer& explorer, const GroupPlan& group, const TestBody& body,
+                 WorkerArena& arena)
+      : GroupCursor(explorer, group, body, arena),
+        path_(group.depths.size(), 0),
+        fingerprints_(group.depths.size() + 1, 0) {}
+
+  bool Advance(size_t level, int c, uint64_t /*seed*/) override {
+    if (level == 0 || c > 0) {
+      if (level > 0) {
+        path_[level - 1] = c;
+        std::fill(path_.begin() + static_cast<ptrdiff_t>(level), path_.end(), 0);
+      }
+      reached_ = 0;
+      // emplace destroys the previous run first, which hands the trace buffer back.
+      run_.emplace(explorer_.options_.base_config, arena_, group_, &reseed_);
+      run_->Run(body_);
     }
-    n.events = rt.tracer().size();
-    n.fingerprint = n.hasher.value();
-    return n;
+    level_ = level;
+    return reached_ > level;
+  }
+  uint64_t fingerprint() const override { return fingerprints_[level_ + 1]; }
+
+ protected:
+  Harness& run() override { return *run_; }
+
+ private:
+  // Crossing boundary `level` reseeds to the seed the walk computes for this path's child.
+  const std::function<void(int)> reseed_ = [this](int hook_level) {
+    const auto level = static_cast<size_t>(hook_level);
+    reached_ = level;
+    fingerprints_[level] = level >= 2 ? TraceHash(run_->rt.tracer()) : 0;
+    run_->recorder.ReseedSegment(
+        SegmentSeed(group_.policy.seed, level, path_[level - 1], fingerprints_[level]));
   };
-  auto snapshot_node = [&](NodeState* n) {
-    n->ckpt = std::make_unique<pcr::Checkpoint>(rt.scheduler(), rt.tracer(), &exec);
-    ++group_saves;
-    group_bytes += static_cast<int64_t>(n->ckpt->bytes());
+  std::vector<int> path_;               // the current run's child index per level
+  size_t reached_ = 0;                  // boundaries the current run crossed
+  std::vector<uint64_t> fingerprints_;  // its fingerprint at each boundary past the first
+  size_t level_ = 0;                    // the level of the last Advance
+  std::optional<Harness> run_;
+};
+
+void Explorer::WalkGroup(const GroupPlan& group, GroupCursor& cursor,
+                         std::vector<ScheduleOutcome>* outcomes, ExploreProfile& profile) {
+  outcomes->assign(static_cast<size_t>(group.members), ScheduleOutcome{});
+  const size_t levels = group.depths.size();
+  std::vector<uint64_t> sorted_points = group.policy.change_points;
+  std::sort(sorted_points.begin(), sorted_points.end());
+  int64_t pruned = 0;
+  int64_t dpor_pruned = 0;
+  int64_t drain_spliced = 0;
+  // A pruned cell holds only the trace hash of the cell that stands in for it.
+  auto stand_in = [&](int source, int cell) {
+    (*outcomes)[static_cast<size_t>(cell)].trace_hash =
+        (*outcomes)[static_cast<size_t>(source)].trace_hash;
+    ++pruned;
   };
 
-  int64_t group_dpor = 0;
-  int64_t group_splice = 0;
-
-  // Processes the subtree rooted at `level`: the execution is paused at depths[level-1] in the
-  // state `at` snapshots, and the node covers cells [first_cell, first_cell + its stride).
-  // Child NodeStates live inside one loop iteration, so checkpoints die newest-first (LIFO
-  // fiber pins) before the parent's next restore.
-  std::function<void(int, int, NodeState&)> descend = [&](int level, int first_cell,
-                                                          NodeState& at) {
-    const int stride = SubtreeStride(group.fanout, static_cast<size_t>(level));
-    const bool leaf_level = level == levels;
-    std::vector<std::pair<uint64_t, int>> seen_f;  // child-boundary fingerprint -> child index
-    // Leaf-parent witness: child 0's consultation suffix, copied out before any restore
-    // rewinds the recorder's log.
-    bool witness_valid = false;
-    std::vector<ConsultRecord> wit_suffix;
-    uint64_t wit_estar = 0;
-    for (int c = 0; c < group.fanout[static_cast<size_t>(level) - 1]; ++c) {
-      int child_first = first_cell + c * stride;
+  // Walks the children of the node at `level`, which covers the cells from `first`; `f` is the
+  // node's fingerprint.
+  std::function<void(size_t, int, uint64_t)> walk = [&](size_t level, int first, uint64_t f) {
+    const int stride = SubtreeStride(group.fanout, level);
+    const int children = level == 0 ? 1 : group.fanout[level - 1];
+    std::vector<std::pair<uint64_t, int>> seen;  // child fingerprint -> first child with it
+    // At a leaf parent: leaf 0's consultation suffix, copied out before any branch rewinds it.
+    bool witness = false;
+    std::vector<ConsultRecord> suffix;
+    uint64_t tail = 0;
+    for (int c = 0; c < children; ++c) {
+      const int child_first = first + c * stride;
       if (child_first >= group.members) {
         break;
       }
-      int cells = std::min(stride, group.members - child_first);
-      uint64_t child_seed = level == 1
-                                ? MixSeed(group.q0, 1, static_cast<uint64_t>(c))
-                                : MixSeed(group.q0 ^ at.fingerprint,
-                                          static_cast<uint64_t>(level),
-                                          static_cast<uint64_t>(c));
-      if (leaf_level && c > 0 && group.dpor && witness_valid) {
-        // Sleep-set check before paying for restore + suffix: pre-simulate this leaf's
-        // decision stream over the witness's consultation log.
-        LeafVerdict v = ClassifyLeaf(child_seed, policy, sorted_points,
-                                     {wit_suffix.data(), wit_suffix.size(), wit_estar});
+      const int cells = std::min(stride, group.members - child_first);
+      const uint64_t seed =
+          level == 0 ? group.policy.seed : SegmentSeed(group.policy.seed, level, c, f);
+      if (witness) {
+        // Sleep-set check before paying for the run: pre-simulate this leaf's decision stream
+        // over the witness's consultation log.
+        const LeafVerdict v =
+            ClassifyLeaf(seed, group.policy, sorted_points, {suffix.data(), suffix.size(), tail});
         if (v != LeafVerdict::kExecute) {
-          MarkPruned((*outcomes)[static_cast<size_t>(first_cell)],
-                     &(*outcomes)[static_cast<size_t>(child_first)]);
-          ++group_pruned;
-          ++(v == LeafVerdict::kIdenticalPrune ? group_dpor : group_splice);
+          stand_in(first, child_first);
+          ++(v == LeafVerdict::kIdenticalPrune ? dpor_pruned : drain_spliced);
           continue;
         }
       }
-      if (c > 0) {
-        at.ckpt->Restore();
-        ++group_resumes;
-        recorder = at.recorder;
-        injector = at.injector;
-        ctx = at.ctx;
-      }
-      recorder.ReseedSegment(child_seed);
-      pause_level = 0;
-      const auto seg_start = ProfileClock::now();
-      resume_exec();
-      run_ns_.fetch_add(NsSince(seg_start), std::memory_order_relaxed);
-      if (exec.finished()) {
-        // Ran to completion: at leaf level that is the schedule itself (stride 1); at an inner
-        // level the deeper reseeds never applied, so one schedule covers the whole subtree.
-        fill_cell(child_first, &at.hasher, at.events, &at.analyzer);
+      if (!cursor.Advance(level, c, seed)) {
+        // Ended before depths[level]: no deeper reseed ever applies, so this one schedule
+        // covers the whole subtree (at a leaf parent, the subtree is the leaf).
+        ScheduleOutcome& out = (*outcomes)[static_cast<size_t>(child_first)];
+        cursor.Fill(group.first_schedule + child_first, &out);
         for (int j = 1; j < cells; ++j) {
-          MarkPruned((*outcomes)[static_cast<size_t>(child_first)],
-                     &(*outcomes)[static_cast<size_t>(child_first + j)]);
+          stand_in(child_first, child_first + j);
         }
-        group_pruned += cells - 1;
-        if (leaf_level && c == 0 && group.dpor) {
-          witness_valid = WitnessEligible((*outcomes)[static_cast<size_t>(child_first)],
-                                          recorder) &&
-                          recorder.consult_log().size() > group.depths.back();
-          if (witness_valid) {
-            const std::vector<ConsultRecord>& log = recorder.consult_log();
-            wit_suffix.assign(log.begin() + static_cast<ptrdiff_t>(group.depths.back()),
-                              log.end());
-            wit_estar = IndependentTailStart(rt.tracer());
-          }
+        if (level == levels && c == 0 && group.dpor) {
+          witness = cursor.Witness(out, &suffix, &tail);
         }
         continue;
       }
-      // Paused at depths[level]: fingerprint the trace prefix incrementally and dedup against
-      // siblings before spending a checkpoint on it. The reseed below the pause is a pure
-      // function of (q0, fingerprint, coordinate), so matching fingerprints guarantee
-      // identical continuations — the paused execution is abandoned; the next sibling (or the
-      // group epilogue) rewinds past it.
-      NodeState child = fold_node(at.hasher, at.analyzer, at.events);
-      int duplicate_of = -1;
-      for (const auto& [known, source] : seen_f) {
-        if (known == child.fingerprint) {
-          duplicate_of = source;
-          break;
-        }
-      }
-      if (duplicate_of >= 0) {
-        int src = first_cell + duplicate_of * stride;
+      // Paused at depths[level]. The reseed below the pause is a pure function of (q0,
+      // fingerprint, coordinate), so a sibling with the same fingerprint provably has the same
+      // continuations: its cells stand in for this child's, and the paused run is abandoned.
+      const uint64_t child_f = cursor.fingerprint();
+      auto same = std::find_if(seen.begin(), seen.end(),
+                               [child_f](const auto& known) { return known.first == child_f; });
+      if (same != seen.end()) {
         for (int j = 0; j < cells; ++j) {
-          MarkPruned((*outcomes)[static_cast<size_t>(src + j)],
-                     &(*outcomes)[static_cast<size_t>(child_first + j)]);
+          stand_in(first + same->second * stride + j, child_first + j);
         }
-        group_pruned += cells;
         continue;
       }
-      seen_f.emplace_back(child.fingerprint, c);
-      snapshot_node(&child);
-      descend(level + 1, child_first, child);
+      seen.emplace_back(child_f, c);
+      cursor.Enter();
+      walk(level + 1, child_first, child_f);
+      cursor.Leave();
     }
   };
+  walk(0, 0, 0);
+  profile.pruned_schedules += pruned;
+  profile.dpor_pruned += dpor_pruned;
+  profile.drain_spliced += drain_spliced;
+}
 
-  // Phase 1: execute the shared prefix up to the first boundary, then branch.
-  std::unique_ptr<NodeState> root;
-  bool exception_in_flight = false;
-  try {
-    const auto prefix_start = ProfileClock::now();
-    resume_exec();
-    run_ns_.fetch_add(NsSince(prefix_start), std::memory_order_relaxed);
-    if (exec.finished()) {
-      // The whole run consults fewer than depths[0] decisions: every member is the same
-      // schedule.
-      fill_cell(0);
-      for (int m = 1; m < group.members; ++m) {
-        MarkPruned((*outcomes)[0], &(*outcomes)[static_cast<size_t>(m)]);
-      }
-      group_pruned = group.members - 1;
-    } else {
-      // Paused at depths[0]. Snapshot the simulation plus the host-frame run state.
-      root = std::make_unique<NodeState>(
-          fold_node(TraceHasher{}, TraceAnalyzer(options_.detector), 0));
-      snapshot_node(root.get());
-      descend(1, 0, *root);
+void Explorer::RunGroup(const GroupPlan& group, const TestBody& body,
+                        std::vector<ScheduleOutcome>* outcomes, WorkerArena& arena) const {
+  if (options_.checkpoint && pcr::Checkpoint::Supported()) {
+    try {
+      CheckpointCursor cursor(*this, group, body, arena);
+      WalkGroup(group, cursor, outcomes, arena.profile);
+      return;
+    } catch (const CheckpointCursor::ExceptionInFlight&) {
+      // The cursor drained the paused run as it died. The cells and pruning counts come from
+      // the from-zero walk alone.
     }
-  } catch (const ExceptionInFlight&) {
-    // Inner-node checkpoints died newest-first in the unwind. Finish the paused run without
-    // further pauses — shutting it down here would throw ThreadKilled out of the destructor
-    // that is mid-unwind — and let the caller recompute the group from zero.
-    exception_in_flight = true;
-    recorder.set_segment_hook(nullptr);
-    const auto drain_start = ProfileClock::now();
-    exec.Resume();
-    run_ns_.fetch_add(NsSince(drain_start), std::memory_order_relaxed);
   }
-
-  if (!exec.finished()) {
-    // The last branch was pruned at its pause point: kill the simulated threads from the host,
-    // then unwind the suspended body via CheckpointAbort.
-    const auto teardown_start = ProfileClock::now();
-    rt.Shutdown();
-    rt.scheduler().RequestCheckpointAbort();
-    exec.Resume();
-    run_ns_.fetch_add(NsSince(teardown_start), std::memory_order_relaxed);
-  }
-  root.reset();  // inner-node checkpoints already died inside descend (newest-first)
-  rt.scheduler().set_checkpoint_hook(nullptr);
-  rt.scheduler().set_perturber(nullptr);
-  rt.scheduler().set_fault_injector(nullptr);
-
-  fiber_switches_.fetch_add(rt.scheduler().fiber_switches(), std::memory_order_relaxed);
-  stack_acquires_.fetch_add(rt.scheduler().stack_acquires(), std::memory_order_relaxed);
-  stack_pool_hits_.fetch_add(rt.scheduler().stack_pool_hits(), std::memory_order_relaxed);
-  checkpoint_saves_.fetch_add(group_saves, std::memory_order_relaxed);
-  checkpoint_resumes_.fetch_add(group_resumes, std::memory_order_relaxed);
-  checkpoint_bytes_.fetch_add(group_bytes, std::memory_order_relaxed);
-  arena.trace_buffer = rt.tracer().TakeEventBuffer();
-  if (exception_in_flight) {
-    return false;  // the outcomes and pruning counts come from the from-zero recompute
-  }
-  pruned_.fetch_add(group_pruned, std::memory_order_relaxed);
-  dpor_pruned_.fetch_add(group_dpor, std::memory_order_relaxed);
-  drain_spliced_.fetch_add(group_splice, std::memory_order_relaxed);
-  return true;
+  FromZeroCursor cursor(*this, group, body, arena);
+  WalkGroup(group, cursor, outcomes, arena.profile);
 }
 
 bool Explorer::SameFailure(const ScheduleOutcome& a, const ScheduleOutcome& b) {
@@ -724,7 +602,7 @@ bool Explorer::SameFailure(const ScheduleOutcome& a, const ScheduleOutcome& b) {
 }
 
 ScheduleOutcome Explorer::Minimize(const ScheduleOutcome& outcome, const TestBody& body,
-                                   WorkerArena* arena) {
+                                   WorkerArena* arena) const {
   WorkerArena local;
   WorkerArena& warm = arena != nullptr ? *arena : local;
   std::string scenario;
@@ -819,7 +697,7 @@ ScheduleOutcome Explorer::Minimize(const ScheduleOutcome& outcome, const TestBod
 }
 
 ScheduleOutcome Explorer::Replay(const std::string& repro, const TestBody& body,
-                                 trace::Tracer* capture, WorkerArena* arena) {
+                                 trace::Tracer* capture, WorkerArena* arena) const {
   std::string scenario;
   std::string fault_text;
   Plan plan;
@@ -832,20 +710,9 @@ ScheduleOutcome Explorer::Replay(const std::string& repro, const TestBody& body,
   return RunPlan(plan, -1, body, arena != nullptr ? *arena : local, capture);
 }
 
-ExploreResult Explorer::Explore(const TestBody& body) {
+ExploreResult Explorer::Explore(const TestBody& body) const {
   ExploreResult result;
   std::unordered_set<uint64_t> hashes;
-  run_ns_.store(0, std::memory_order_relaxed);
-  detector_ns_.store(0, std::memory_order_relaxed);
-  fiber_switches_.store(0, std::memory_order_relaxed);
-  stack_acquires_.store(0, std::memory_order_relaxed);
-  stack_pool_hits_.store(0, std::memory_order_relaxed);
-  checkpoint_saves_.store(0, std::memory_order_relaxed);
-  checkpoint_resumes_.store(0, std::memory_order_relaxed);
-  checkpoint_bytes_.store(0, std::memory_order_relaxed);
-  pruned_.store(0, std::memory_order_relaxed);
-  dpor_pruned_.store(0, std::memory_order_relaxed);
-  drain_spliced_.store(0, std::memory_order_relaxed);
   const auto total_start = ProfileClock::now();
 
   auto note_hash = [&hashes](uint64_t h) { hashes.insert(h); };
@@ -853,7 +720,7 @@ ExploreResult Explorer::Explore(const TestBody& body) {
   // One arena per pool worker, alive for the whole Explore call: each worker's schedules
   // inherit its predecessor's stack pool and trace-buffer capacity instead of paying mmap +
   // mprotect + heap growth per Runtime. Outcome bytes cannot depend on which arena served a
-  // schedule (see WorkerArena).
+  // schedule (see WorkerArena). Each arena also keeps its worker's profile counters.
   int workers = options_.workers > 0 ? options_.workers : WorkerPool::HardwareWorkers();
   WorkerPool pool(workers);
   std::vector<std::unique_ptr<WorkerArena>> arenas;
@@ -974,26 +841,24 @@ ExploreResult Explorer::Explore(const TestBody& body) {
   groups.reserve(static_cast<size_t>((sweep_budget + per_group - 1) / per_group));
   for (int g = 0; g * per_group < sweep_budget; ++g) {
     GroupPlan group;
-    group.group_index = g;
     group.first_schedule = 1 + g * per_group;
     group.fanout = fanout;
     group.members = std::min(per_group, options_.budget - group.first_schedule);
-    group.runtime_seed =
-        options_.sweep_runtime_seed ? (master() | 1) : options_.base_config.seed;
-    group.q0 = master();
+    group.runtime_seed = master() | 1;
+    group.policy.seed = master();
+    group.policy.preempt_probability = kPreemptProbability;
+    group.policy.shuffle_probability = kShuffleProbability;
     // PCT-style depth: group g gets g % 4 guaranteed change points within the baseline
     // horizon. Depth cycles 0..3 so shallow bugs are not starved by deep probing.
     int depth = g % 4;
     for (int d = 0; d < depth; ++d) {
-      group.change_points.push_back(master() % horizon);
+      group.policy.change_points.push_back(master() % horizon);
     }
     // The master RNG is stepped for fault seeds only when a fault plan is set, so fault-free
     // Explore calls keep drawing the same seed stream whether or not faults are in play.
     if (options_.fault_plan.enabled()) {
       group.fault_plan = options_.fault_plan;
-      if (options_.sweep_fault_seed) {
-        group.fault_plan.seed = master();
-      }
+      group.fault_plan.seed = master();
     }
     // Boundaries drawn from the adaptive jitter windows: late enough that the shared prefix
     // amortizes real work, early enough that the subtrees still have decisions left to
@@ -1017,14 +882,10 @@ ExploreResult Explorer::Explore(const TestBody& body) {
   // but its worker's arena, so groups are embarrassingly parallel; outcomes land in their slot
   // by index. Groups (not schedules) being the work unit is what keeps the pool busy: one
   // coarse unit per dispatch instead of one microsecond-scale run.
-  const bool use_checkpoint = options_.checkpoint && pcr::Checkpoint::Supported();
   std::vector<std::vector<ScheduleOutcome>> group_outcomes(groups.size());
   const auto sweep_start = ProfileClock::now();
   pool.Run(groups.size(), [&](size_t worker, size_t g) {
-    WorkerArena& arena = *arenas[worker];
-    if (!use_checkpoint || !RunGroupCheckpoint(groups[g], body, &group_outcomes[g], arena)) {
-      RunGroupReplay(groups[g], body, &group_outcomes[g], arena);
-    }
+    RunGroup(groups[g], body, &group_outcomes[g], *arenas[worker]);
   });
   result.profile.sweep_sec = SecSince(sweep_start);
 
@@ -1072,19 +933,9 @@ ExploreResult Explorer::Explore(const TestBody& body) {
 
   result.distinct_schedules = static_cast<int>(hashes.size());
   result.profile.total_sec = SecSince(total_start);
-  result.profile.run_sec =
-      static_cast<double>(run_ns_.load(std::memory_order_relaxed)) * 1e-9;
-  result.profile.detector_sec =
-      static_cast<double>(detector_ns_.load(std::memory_order_relaxed)) * 1e-9;
-  result.profile.fiber_switches = fiber_switches_.load(std::memory_order_relaxed);
-  result.profile.stack_acquires = stack_acquires_.load(std::memory_order_relaxed);
-  result.profile.stack_pool_hits = stack_pool_hits_.load(std::memory_order_relaxed);
-  result.profile.checkpoint_saves = checkpoint_saves_.load(std::memory_order_relaxed);
-  result.profile.checkpoint_resumes = checkpoint_resumes_.load(std::memory_order_relaxed);
-  result.profile.checkpoint_bytes = checkpoint_bytes_.load(std::memory_order_relaxed);
-  result.profile.pruned_schedules = pruned_.load(std::memory_order_relaxed);
-  result.profile.dpor_pruned = dpor_pruned_.load(std::memory_order_relaxed);
-  result.profile.drain_spliced = drain_spliced_.load(std::memory_order_relaxed);
+  for (const std::unique_ptr<WorkerArena>& arena : arenas) {
+    AddRunCounters(arena->profile, &result.profile);
+  }
   if (result.profile.total_sec > 0) {
     result.profile.schedules_per_sec = result.schedules_run / result.profile.total_sec;
   }

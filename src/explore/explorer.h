@@ -19,7 +19,6 @@
 #ifndef SRC_EXPLORE_EXPLORER_H_
 #define SRC_EXPLORE_EXPLORER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -66,28 +65,22 @@ struct ExploreOptions {
   std::string scenario_name = "-";  // embedded in repro strings so they are self-describing
   int budget = 100;                 // schedules to run (schedule 0 is always unperturbed)
   uint64_t seed = 1;                // master seed; all per-schedule seeds derive from it
-  bool sweep_runtime_seed = true;   // vary Config::seed across schedules too
-  double preempt_probability = 0.15;
-  double shuffle_probability = 0.3;
   bool fail_on_findings = true;     // detector findings count as failures
-  pcr::Config base_config;          // per-run Config (seed field may be swept)
+  pcr::Config base_config;          // per-run Config (each group redraws its seed)
   size_t max_failures = 8;          // stop exploring after this many distinct failures
   bool minimize = true;             // shrink failing decision streams before reporting
-  // Base fault plan injected into every schedule (disabled by default). With sweep_fault_seed,
-  // each perturbed schedule redraws the plan's probabilistic seed from the master RNG, so one
-  // Explore call searches fault x schedule space; the baseline keeps the plan verbatim.
+  // Base fault plan injected into every schedule (disabled by default). Each perturbed schedule
+  // redraws the plan's probabilistic seed from the master RNG, so one Explore call searches
+  // fault x schedule space; the baseline keeps the plan verbatim.
   fault::Plan fault_plan;
-  bool sweep_fault_seed = true;
-  DetectorOptions detector;
   // OS worker threads schedules are fanned across (0 = hardware concurrency, 1 = serial).
   // The result is byte-identical for every value: schedules execute on whichever worker is
   // free, but they are merged in schedule-index order.
   int workers = 0;
   // Populate ScheduleOutcome::coverage after each run (campaign.h's feedback signal): prefix
-  // trace hashes every coverage_stride events plus the interleaving/fault/watchdog keys from
+  // trace hashes every 64 events plus the interleaving/fault/watchdog keys from
   // CollectTraceCoverage. Off by default — plain exploration never pays for it.
   bool collect_coverage = false;
-  size_t coverage_stride = 64;
   uint64_t coverage_salt = 0;  // mixed into every key; the campaign salts per scenario
   // Execute schedule groups by checkpoint-and-branch: snapshot the simulation at each group's
   // divergence points and replay only the suffix per schedule (O(suffix) instead of O(horizon)).
@@ -126,6 +119,7 @@ struct ScheduleOutcome {
 // Self-profiling for one Explore call: where the wall time went, and how much of the per-run
 // cost is the race detector versus the runtime itself. Phase times are wall clock; run_sec and
 // detector_sec are summed across workers, so on an N-worker pool they can exceed total_sec.
+// Each worker adds the run counters to its WorkerArena's profile; Explore sums the arenas.
 struct ExploreProfile {
   double total_sec = 0;
   double baseline_sec = 0;   // schedule 0 (serial, also sets the PCT horizon)
@@ -169,17 +163,21 @@ struct ExploreResult {
   ExploreProfile profile;
 };
 
-// Warm capacity one pool worker carries from run to run: guard-paged stacks and the trace
-// event buffer, the two dominant per-Runtime allocations. Explore keeps one per pool worker for
-// the call; the campaign keeps one per pool worker for its lifetime. Only *capacity* is
-// recycled: a recycled stack still holds its last user's bytes, but no defined behaviour reads
-// stack memory before writing it, so a warm arena and a fresh one produce byte-identical
-// outcomes — which is what keeps results independent of worker count. The symbol table is
-// deliberately not here: interning order differs per schedule, so reuse would leak state. Used
-// by one OS thread at a time.
-struct WorkerArena {
+// What one pool worker carries from run to run: warm capacity and its own profile counters.
+// The capacity is guard-paged stacks and the trace event buffer, the two dominant per-Runtime
+// allocations. Explore keeps one arena per pool worker for the call; the campaign keeps one per
+// pool worker for its lifetime. Only *capacity* is recycled: a recycled stack still holds its
+// last user's bytes, but no defined behaviour reads stack memory before writing it, so a warm
+// arena and a fresh one produce byte-identical outcomes — which is what keeps results
+// independent of worker count. The symbol table is deliberately not here: interning order
+// differs per schedule, so reuse would leak state. Used by one OS thread at a time, so workers
+// share no counter: each run adds its run time, detector time, substrate, checkpoint and pruning
+// counts to its own arena's profile, and Explore sums the arenas after the sweep. The alignment
+// keeps two workers' arenas off one cache line.
+struct alignas(64) WorkerArena {
   pcr::StackPool stacks;
   trace::SegmentArena trace_buffer;
+  ExploreProfile profile;
 };
 
 class Explorer {
@@ -187,75 +185,69 @@ class Explorer {
   explicit Explorer(ExploreOptions options = {});
 
   // Runs up to options.budget schedules. Deterministic: same options + same body => same result.
-  ExploreResult Explore(const TestBody& body);
+  ExploreResult Explore(const TestBody& body) const;
 
   // Re-executes the schedule described by `repro` (scenario field ignored here). Throws
   // pcr::UsageError on a malformed repro string. With `capture` non-null, the replayed run's
   // full event stream and symbol table are copied into it (the tracer's prior events are kept;
   // its symbol table is replaced) — the hook pcrcheck uses to export failing schedules. With
   // `arena` non-null the run draws its stacks and trace buffer from it (a fresh local arena
-  // otherwise); the outcome is the same either way.
+  // otherwise); the outcome is the same either way. Safe to call concurrently on distinct
+  // arenas.
   ScheduleOutcome Replay(const std::string& repro, const TestBody& body,
-                         trace::Tracer* capture = nullptr, WorkerArena* arena = nullptr);
+                         trace::Tracer* capture = nullptr, WorkerArena* arena = nullptr) const;
 
   // Prefix-truncates and zeroes decisions (and shrinks fault plans to the fired script) while
   // the same bug keeps reproducing. Public so the campaign can minimize crashing corpus
   // entries with the exact path pcrcheck failures already use; deterministic (bounded replay
   // budget, no randomness). `arena` as for Replay.
   ScheduleOutcome Minimize(const ScheduleOutcome& outcome, const TestBody& body,
-                           WorkerArena* arena = nullptr);
+                           WorkerArena* arena = nullptr) const;
 
   const ExploreOptions& options() const { return options_; }
 
  private:
   struct Plan {
     uint64_t runtime_seed = 1;
-    PerturbPolicy policy;                // recording mode when `replay` is empty
     std::vector<Decision> replay;
-    bool replay_mode = false;
+    bool replay_mode = false;            // replay `replay`; otherwise record (the baseline)
     fault::Plan fault_plan;              // installed for the run when enabled()
   };
 
   // One prefix-grouped work unit: up to prod(fanout) consecutive schedules sharing the
-  // segment-1 decision prefix (seed q0 + the group's change points). Crossing consultation
-  // depths[k] fires segment level k+1: a level-1 child c reseeds to MixSeed(q0, 1, c); a
-  // level-l>=2 child c reseeds to MixSeed(q0 ^ F, l, c), where F is the trace-prefix
-  // fingerprint at the boundary — so equal fingerprints provably yield identical
-  // continuations, which is what makes state-hash pruning exact, not heuristic. Flat schedule
-  // index of coordinates (c0, .., cL-1) is first_schedule + sum(ck * stride_k) in row-major
-  // order; cells past the overall budget are skipped (members counts the in-budget ones).
+  // segment-1 decision prefix (the policy's seed q0 and change points). The group is a tree:
+  // crossing consultation depths[k] fires segment level k+1, and a node at level l has
+  // fanout[l-1] children. A level-1 child c reseeds to MixSeed(q0, 1, c); a level-l>=2 child
+  // c reseeds to MixSeed(q0 ^ F, l, c), where F is the trace-prefix fingerprint at the
+  // boundary — so equal fingerprints provably yield identical continuations, which is what
+  // makes state-hash pruning exact, not heuristic. A cell is one schedule: the flat index of
+  // coordinates (c0, .., cL-1) is first_schedule + sum(ck * stride_k) in row-major order;
+  // cells past the overall budget are skipped (members counts the in-budget ones).
   struct GroupPlan {
-    int group_index = 0;
     int first_schedule = 1;
     std::vector<int> fanout;              // children per tree level (last level = leaves)
     std::vector<uint64_t> depths;         // divergence consultation indices, strictly increasing
     int members = 1;
     uint64_t runtime_seed = 1;
-    uint64_t q0 = 0;                      // segment-1 decision seed and reseed basis
-    std::vector<uint64_t> change_points;  // group-shared PCT change points
+    PerturbPolicy policy;                 // segment-1 stream; policy.seed is q0
     bool dpor = false;                    // leaf-level sleep-set pruning for this group
     fault::Plan fault_plan;
   };
 
-  // Everything RunGroupMember reports about one from-zero probe run beyond its outcome:
-  // how many segment levels it crossed, the reseed fingerprints at each crossed level >= 2,
-  // and (when the group prunes) the dpor witness data mirrored from the checkpoint path.
-  struct MemberProbe {
-    int reached = 0;                      // segment levels crossed (0 = ended before depths[0])
-    std::vector<uint64_t> fingerprints;   // indexed by level; [0..1] unused
-    bool witness_valid = false;           // passing run with an aligned consultation log
-    std::vector<ConsultRecord> suffix;    // consult records from depths.back() onward
-    uint64_t independent_tail_event = 0;
-  };
+  struct TraceFold;
+  class Harness;
+  class GroupCursor;
+  class CheckpointCursor;
+  class FromZeroCursor;
 
   ScheduleOutcome RunPlan(const Plan& plan, int schedule_index, const TestBody& body,
                           WorkerArena& arena, trace::Tracer* capture = nullptr,
-                          std::vector<ConsultRecord>* consult_log = nullptr);
-  // Group execution: checkpoint-and-branch (O(suffix) per schedule) or from-zero replay of the
-  // same plans. Both fill `outcomes` (size group.members, flat order) with byte-identical
-  // results and identical pruned counts. RunGroupCheckpoint returns false when the run paused
-  // with an exception in flight (a fiber suspended mid-unwind, which no Checkpoint can
-  // capture); the caller then recomputes the group from zero, overwriting `outcomes`.
+                          std::vector<ConsultRecord>* consult_log = nullptr) const;
+  // Fills `outcomes` (size group.members, flat order) for one group. It walks the group with
+  // the checkpoint cursor where checkpointing is on and supported. A pause with an exception in
+  // flight (a fiber suspended mid-unwind, which no Checkpoint can capture) abandons that walk,
+  // and the group is walked again with the from-zero cursor. Both walks give byte-identical
+  // cells and pruning counts.
   //
   // A cell holds only what the merge in Explore reads. An executed cell holds its outcome, with
   // a repro only if it failed (the merge and Minimize read failing repros only). A pruned cell
@@ -263,45 +255,25 @@ class Explorer {
   // trace hash (schedule_index stays -1): its source is a lower-indexed cell of the same group,
   // so the merge meets the source first, the copy can never be a new distinct failure, and its
   // hash is already counted.
-  bool RunGroupCheckpoint(const GroupPlan& group, const TestBody& body,
-                          std::vector<ScheduleOutcome>* outcomes, WorkerArena& arena);
-  void RunGroupReplay(const GroupPlan& group, const TestBody& body,
-                      std::vector<ScheduleOutcome>* outcomes, WorkerArena& arena);
-  // From-zero execution of one group member on the calling frame. `path` gives the member's
-  // per-level coordinates (path.size() == group.depths.size()); `probe` receives the run's
-  // segment telemetry (and dpor witness data when group.dpor and the path ends in leaf 0).
-  ScheduleOutcome RunGroupMember(const GroupPlan& group, const std::vector<int>& path,
-                                 const TestBody& body, WorkerArena& arena, MemberProbe* probe);
+  void RunGroup(const GroupPlan& group, const TestBody& body,
+                std::vector<ScheduleOutcome>* outcomes, WorkerArena& arena) const;
+  // The one walk over a group's tree, whichever cursor reaches the runs; every pruning rule
+  // lives here. The pruning counts reach `profile` only when the walk completes.
+  static void WalkGroup(const GroupPlan& group, GroupCursor& cursor,
+                        std::vector<ScheduleOutcome>* outcomes, ExploreProfile& profile);
   // Shared post-run analysis: detector, trace hash, coverage, failures; the caller adds the
-  // repro (Repro) where one is read. When the caller already holds the running hash of a trace
-  // prefix (checkpointed groups hash the shared prefix once), resume_hasher/resume_events let
-  // the trace hash continue from it instead of rehashing from event zero — FNV continuation is
-  // value-identical to the full pass. The same boundary feeds resume_analyzer: a detector fold
-  // already carried to resume_events continues over the suffix only, and both are checked
-  // byte-identical against from-zero mode by the equivalence suite.
-  void FillOutcome(trace::Tracer& tracer, const TestContext& ctx, uint64_t preempt_points,
-                   uint64_t total_decisions, const std::vector<fault::ScriptedFault>& fired,
-                   int schedule_index, ScheduleOutcome* out,
-                   const TraceHasher* resume_hasher = nullptr, size_t resume_events = 0,
-                   const TraceAnalyzer* resume_analyzer = nullptr);
+  // repro where one is read. With `resume` (checkpointed groups fold the shared prefix once),
+  // the trace hash and the detector continue from the fold over the suffix only — FNV
+  // continuation and the detector's left fold are value-identical to the full pass, which the
+  // equivalence suite checks against from-zero mode.
+  void FillOutcome(Harness& run, int schedule_index, ScheduleOutcome* out,
+                   const TraceFold* resume = nullptr) const;
   // The repro string of a run: its decision stream with trailing defaults trimmed.
   std::string Repro(const std::vector<Decision>& decisions, uint64_t runtime_seed,
                     const fault::Plan& fault_plan) const;
   static bool SameFailure(const ScheduleOutcome& a, const ScheduleOutcome& b);
 
   ExploreOptions options_;
-  // Profile accumulators; atomics because RunPlan executes concurrently on pool workers.
-  std::atomic<int64_t> run_ns_{0};
-  std::atomic<int64_t> detector_ns_{0};
-  std::atomic<int64_t> fiber_switches_{0};
-  std::atomic<int64_t> stack_acquires_{0};
-  std::atomic<int64_t> stack_pool_hits_{0};
-  std::atomic<int64_t> checkpoint_saves_{0};
-  std::atomic<int64_t> checkpoint_resumes_{0};
-  std::atomic<int64_t> checkpoint_bytes_{0};
-  std::atomic<int64_t> pruned_{0};
-  std::atomic<int64_t> dpor_pruned_{0};
-  std::atomic<int64_t> drain_spliced_{0};
 };
 
 }  // namespace explore

@@ -120,7 +120,7 @@ struct Config {
 
   // Feed the runtime metrics registry (scheduler/monitor/CV counters and histograms,
   // src/trace/metrics.h). Independent of trace_events: metrics are the cheap always-on channel
-  // for runs too long to keep an event buffer. Ignored when built with PCR_METRICS=OFF.
+  // for runs too long to keep an event buffer.
   bool metrics = true;
 
   CostModel costs;

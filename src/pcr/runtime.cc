@@ -7,7 +7,6 @@ thread_local Runtime* g_current_runtime = nullptr;
 }  // namespace
 
 Runtime::Runtime(Config config) : scheduler_(config, &tracer_) {
-  tracer_.set_enabled(config.trace_events);
   if (config.trace_ring_events > 0) {
     tracer_.set_ring_limit(config.trace_ring_events);
   }

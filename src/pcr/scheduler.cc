@@ -68,7 +68,6 @@ Scheduler::Scheduler(const Config& config, trace::Tracer* tracer)
   // SelectReady while a pointer to tied_scratch_.data() lives in a suspended frame, so the
   // vector must never reallocate (restore refills it in place, within this capacity).
   tied_scratch_.reserve(static_cast<size_t>(std::max(1, config_.max_threads)));
-#if PCR_METRICS
   if (config_.metrics) {
     // Register once here; the hot paths only ever touch the cached pointers.
     m_dispatches_ = metrics_.counter("sched.dispatches");
@@ -87,26 +86,19 @@ Scheduler::Scheduler(const Config& config, trace::Tracer* tracer)
     m_fork_failures_ = metrics_.counter("fault.fork_failures");
     m_monitors_poisoned_ = metrics_.counter("fault.monitors_poisoned");
   }
-#endif
 }
 
 trace::Counter* Scheduler::MetricCounter(std::string_view name) {
-#if PCR_METRICS
   if (config_.metrics) {
     return metrics_.counter(name);
   }
-#endif
-  (void)name;
   return nullptr;
 }
 
 trace::Log2Histogram* Scheduler::MetricHistogram(std::string_view name) {
-#if PCR_METRICS
   if (config_.metrics) {
     return metrics_.histogram(name);
   }
-#endif
-  (void)name;
   return nullptr;
 }
 
@@ -198,7 +190,7 @@ void Scheduler::Emit(trace::EventType type, ObjectId object, uint64_t arg,
 }
 
 void Scheduler::FlightDump(const char* reason) {
-  if (tracer_ == nullptr || tracer_->ring_limit() == 0 || tracer_->retained() == 0) {
+  if (!trace_active_ || tracer_->ring_limit() == 0 || tracer_->retained() == 0) {
     return;
   }
   std::cerr << "pcr: flight recorder (" << reason << ") at t=" << now_ << "us:\n";
@@ -206,7 +198,7 @@ void Scheduler::FlightDump(const char* reason) {
 }
 
 uint32_t Scheduler::InternName(std::string_view name) {
-  if (tracer_ == nullptr || !config_.trace_events || name.empty()) {
+  if (!trace_active_ || name.empty()) {
     return 0;
   }
   return tracer_->symbols().Intern(name);
@@ -515,7 +507,7 @@ void Scheduler::WakeThread(ThreadId tid, bool from_timer, bool front) {
   if (from_timer) {
     trace::MetricAdd(m_timer_fires_);
   }
-  if (from_timer && tracer_ != nullptr && tracer_->enabled() && config_.trace_events) {
+  if (from_timer && trace_active_) {
     trace::Event e;
     e.time_us = now_;
     e.type = trace::EventType::kTimerFire;
@@ -755,7 +747,10 @@ bool Scheduler::BoostedThreadReady() const {
   return found;
 }
 
-ThreadId Scheduler::SelectReady() {
+// Always inlined into its one caller, AssignProcessors, so that the dispatch path stays one
+// frame whatever the inliner decides about the Tracer::Record calls beside it. The frame depth
+// matters beyond speed: a tie-break pause snapshots the exec stack at this depth.
+[[gnu::always_inline]] inline ThreadId Scheduler::SelectReady() {
   // Fast path: with no boosted/penalized/inherited thread anywhere and strict-priority
   // scheduling, effective priority equals base priority, so the best candidate is simply the
   // front of the highest non-empty level — one find-first-set on the ready mask instead of a
@@ -915,7 +910,7 @@ void Scheduler::AssignProcessors() {
     if (tid == kNoThread) {
       if (last_running_[p] != kNoThread) {
         // Close the previous run so interval accounting sees the idle gap.
-        if (tracer_ != nullptr && tracer_->enabled() && config_.trace_events) {
+        if (trace_active_) {
           trace::Event e;
           e.time_us = now_;
           e.type = trace::EventType::kSwitch;
@@ -934,7 +929,7 @@ void Scheduler::AssignProcessors() {
     t.ready_since = -1;
     running_[p] = tid;
     if (last_running_[p] != tid) {
-      if (tracer_ != nullptr && tracer_->enabled() && config_.trace_events) {
+      if (trace_active_) {
         trace::Event e;
         e.time_us = now_;
         e.type = trace::EventType::kSwitch;
@@ -949,7 +944,6 @@ void Scheduler::AssignProcessors() {
       // This branch fires exactly when a thread!=0 kSwitch event would be recorded, so
       // sched.dispatches stays equal to the post-hoc Summary.switches count.
       trace::MetricAdd(m_dispatches_);
-#if PCR_METRICS
       if (m_ready_depth_ != nullptr) {
         size_t depth = 0;
         for (const auto& queue : ready_) {
@@ -957,7 +951,6 @@ void Scheduler::AssignProcessors() {
         }
         m_ready_depth_->Record(static_cast<int64_t>(depth));
       }
-#endif
     }
   }
 }

@@ -278,8 +278,8 @@ class Scheduler : private SchedulerRunState {
   //
   // The registry lives for the scheduler's lifetime; hot paths hold cached Counter/Histogram
   // pointers registered once at construction. MetricCounter/MetricHistogram return nullptr when
-  // metrics are disabled (Config::metrics = false or PCR_METRICS=0), so call sites feed the
-  // null-tolerant trace::MetricAdd / trace::MetricRecord and pay one predicted branch.
+  // metrics are disabled (Config::metrics = false), so call sites feed the null-tolerant
+  // trace::MetricAdd / trace::MetricRecord and pay one predicted branch.
 
   trace::MetricsRegistry& metrics() { return metrics_; }
   const trace::MetricsRegistry& metrics() const { return metrics_; }
@@ -436,7 +436,7 @@ class Scheduler : private SchedulerRunState {
   size_t peak_stack_bytes_reserved() const { return peak_stack_bytes_reserved_; }
 
   // Fiber-substrate counters, kept independent of the metrics registry so benches can read
-  // them even in PCR_METRICS=OFF builds. fiber_switches counts real context switches: two per
+  // them with Config::metrics off. fiber_switches counts real context switches: two per
   // Resume round trip, none for a charge made in place; stack_acquires/stack_pool_hits count
   // fiber-stack requests and how many the stack pool served without a fresh mmap. They count
   // host work, which a Checkpoint restore does not undo, so they are not run state: a restore
@@ -583,8 +583,8 @@ class Scheduler : private SchedulerRunState {
   trace::Counter* m_monitors_poisoned_ = nullptr;
   SchedulePerturber* perturber_ = nullptr;
   FaultInjector* fault_injector_ = nullptr;
-  // Folds the constant Emit preconditions (tracer present, tracing configured) into one flag
-  // so the per-event guard is two flag loads instead of a pointer chase.
+  // The one tracing gate, fixed at construction (tracer present, tracing configured): every
+  // record site, InternName and FlightDump test it instead of chasing the tracer pointer.
   bool trace_active_ = false;
 
   std::vector<std::unique_ptr<Tcb>> tcbs_;  // index = tid - 1

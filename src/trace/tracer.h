@@ -192,15 +192,7 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  // Enables or disables recording. Disabled tracers drop events (counters in the runtime that
-  // do not depend on the tracer keep working).
-  void set_enabled(bool enabled) { enabled_ = enabled; }
-  bool enabled() const { return enabled_; }
-
   void Record(const Event& event) {
-    if (!enabled_) {
-      return;
-    }
     internal::Segment* seg = tail_;
     if (seg == nullptr) {
       RecordSlow(event);
@@ -312,7 +304,6 @@ class Tracer {
     freelist_.push_back(std::move(seg));
   }
 
-  bool enabled_ = true;
   Usec window_start_ = 0;
   internal::SegmentList segments_;   // retained log, oldest first
   internal::SegmentList freelist_;   // recycled allocations

@@ -63,17 +63,17 @@ echo "== Fault suite + fault-plan determinism at workers=4"
 
 # Thread-death leg: an injected death unwinds through ~MonitorGuard, whose Exit charges
 # virtual time, so checkpoint-and-branch can pause a fiber mid-unwind — a state no snapshot
-# may capture. Checkpointed and from-zero exploration must print the same verdict, repro and
-# replay-hash lines.
+# may capture; such a group is walked again from zero. Checkpointed and from-zero exploration
+# must print the same verdict, repro and replay-hash lines, and prune the same schedules.
 echo "== Thread-death fault plan: checkpointed == from-zero"
 TD_PLAN="f1,rate=0.02,sites=thread-death+notify-lost,seed=3"
-"$BUILD_RELEASE/tools/pcrcheck" --all --workers=4 --fault-plan="$TD_PLAN" \
+"$BUILD_RELEASE/tools/pcrcheck" --all --workers=4 --profile --fault-plan="$TD_PLAN" \
   > "$BUILD_RELEASE/ci_td_checkpoint.out"
-"$BUILD_RELEASE/tools/pcrcheck" --all --workers=4 --no-checkpoint --fault-plan="$TD_PLAN" \
-  > "$BUILD_RELEASE/ci_td_from_zero.out"
+"$BUILD_RELEASE/tools/pcrcheck" --all --workers=4 --profile --no-checkpoint \
+  --fault-plan="$TD_PLAN" > "$BUILD_RELEASE/ci_td_from_zero.out"
 for mode in checkpoint from_zero; do
-  grep -E 'verdict:|repro:|replay x2: hash' "$BUILD_RELEASE/ci_td_$mode.out" \
-    > "$BUILD_RELEASE/ci_td_$mode.lines"
+  grep -E 'verdict:|repro:|replay x2: hash|counter (pruned_schedules|dpor_pruned|drain_spliced) ' \
+    "$BUILD_RELEASE/ci_td_$mode.out" > "$BUILD_RELEASE/ci_td_$mode.lines"
 done
 diff "$BUILD_RELEASE/ci_td_checkpoint.lines" "$BUILD_RELEASE/ci_td_from_zero.lines"
 
@@ -97,31 +97,30 @@ timeout 60 "$BUILD_RELEASE/tools/pcrcheck" --campaign="$ROOT/tests/corpus" \
   --campaign-rounds=0 --campaign-status-json="$BUILD_RELEASE/ci_campaign_status.json"
 python3 -m json.tool "$BUILD_RELEASE/ci_campaign_status.json" > /dev/null
 
-# Observability exports: the Chrome-trace and metrics exports must be valid JSON end to end.
-# Their hot-path overhead budgets are host-timing gates (bench_trace_overhead, at the end).
+# Observability exports: the Chrome-trace and metrics exports must be valid JSON end to end,
+# from a pcrsim world run and from pcrcheck's failing-schedule repros. Their hot-path overhead
+# budgets are host-timing gates (bench_trace_overhead, at the end).
 echo "== Observability exports"
+rm -rf "$BUILD_RELEASE/ci_ct_failures"
 (cd "$BUILD_RELEASE" \
   && tools/pcrsim --scenario keyboard --duration 5 \
        --chrome-trace=ci_chrome_trace.json --metrics-json=ci_metrics.json \
   && python3 -m json.tool ci_chrome_trace.json > /dev/null \
-  && python3 -m json.tool ci_metrics.json > /dev/null)
+  && python3 -m json.tool ci_metrics.json > /dev/null \
+  && tools/pcrcheck --scenario=buggy_monitor --require-bug \
+       --chrome-trace-on-failure=ci_ct_failures)
+for f in "$BUILD_RELEASE"/ci_ct_failures/*.json; do
+  python3 -m json.tool "$f" > /dev/null
+done
 
 # Streaming-export equivalence: the bounded-memory streaming sink must produce byte-for-byte
-# the file the buffered exporter writes — first over a full pcrsim world run, then over a
-# pcrcheck failing-schedule repro (the two CLI paths that drive ChromeTraceWriter). cmp, not a
-# JSON-level diff: the contract is byte identity, so golden traces stay pinnable either way.
+# the file the buffered exporter writes over a full pcrsim world run. cmp, not a JSON-level
+# diff: the contract is byte identity, so golden traces stay pinnable either way.
 echo "== Streamed vs buffered Chrome export (byte identity)"
 (cd "$BUILD_RELEASE" \
   && tools/pcrsim --scenario keyboard --duration 5 --chrome-trace=ci_chrome_buffered.json \
   && tools/pcrsim --scenario keyboard --duration 5 --chrome-stream=ci_chrome_streamed.json \
   && cmp ci_chrome_buffered.json ci_chrome_streamed.json)
-rm -rf "$BUILD_RELEASE/ci_ct_buffered" "$BUILD_RELEASE/ci_ct_streamed"
-(cd "$BUILD_RELEASE" \
-  && tools/pcrcheck --scenario=buggy_monitor --require-bug \
-       --chrome-trace-on-failure=ci_ct_buffered --chrome-stream-on-failure=ci_ct_streamed)
-for f in "$BUILD_RELEASE"/ci_ct_buffered/*.json; do
-  cmp "$f" "$BUILD_RELEASE/ci_ct_streamed/$(basename "$f")"
-done
 
 # Portable-fallback leg: the ucontext fiber path must keep passing the explore suite (which
 # exercises fibers hardest: thousands of schedules, stack recycling, determinism at several

@@ -41,7 +41,6 @@ struct Args {
   std::string replay;
   std::string fault_plan;        // --fault-plan: base fault::Plan swept across schedules
   std::string chrome_trace_dir;  // --chrome-trace-on-failure: export failing schedules here
-  std::string chrome_stream_dir;  // --chrome-stream-on-failure: same, via the streaming sink
   size_t trace_ring = 0;  // --trace-ring: replay failures with a ring-armed capture and dump
   bool all = false;
   bool list = false;
@@ -68,10 +67,6 @@ void Usage() {
                "                [--workers=N] [--replay=REPRO] [--require-bug] [--verbose]\n"
                "                [--profile] [--no-checkpoint] [--no-dpor]\n"
                "                [--chrome-trace-on-failure=DIR]\n"
-               "                [--chrome-stream-on-failure=DIR]\n"
-               "                                      like --chrome-trace-on-failure but written\n"
-               "                                      through the bounded-memory streaming sink\n"
-               "                                      (byte-identical output)\n"
                "                [--trace-ring=N]      replay each failure with a flight-recorder\n"
                "                                      ring of N events and dump the retained tail\n"
                "                [--fault-plan=SPEC]   e.g. \"f1,rate=0.01,sites=notify-lost\"\n"
@@ -107,8 +102,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->no_dpor = true;
     } else if (const char* v = value("--chrome-trace-on-failure=")) {
       args->chrome_trace_dir = v;
-    } else if (const char* v = value("--chrome-stream-on-failure=")) {
-      args->chrome_stream_dir = v;
     } else if (const char* v = value("--trace-ring=")) {
       char* end = nullptr;
       long n = std::strtol(v, &end, 10);
@@ -181,7 +174,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
 
 // Replays `repro` twice and checks all three hashes agree; the repro string is only useful if
 // it pins down one schedule exactly.
-bool VerifyReplay(explore::Explorer& explorer, const explore::ScheduleOutcome& failure,
+bool VerifyReplay(const explore::Explorer& explorer, const explore::ScheduleOutcome& failure,
                   const explore::TestBody& body) {
   explore::ScheduleOutcome first = explorer.Replay(failure.repro, body);
   explore::ScheduleOutcome second = explorer.Replay(failure.repro, body);
@@ -243,30 +236,6 @@ bool RunScenario(const explore::BugScenario& scenario, const Args& args) {
         std::printf("  chrome trace: %s\n", path.c_str());
       } else {
         std::fprintf(stderr, "  could not write chrome trace %s\n", path.c_str());
-      }
-    }
-    if (!args.chrome_stream_dir.empty()) {
-      // Same export, but folded to disk segment by segment while the replay runs: the capture
-      // tracer never holds more than one segment of the failing schedule in memory. Output is
-      // byte-identical to the buffered --chrome-trace-on-failure file, which ci_check.sh diffs.
-      std::error_code ec;
-      std::filesystem::create_directories(args.chrome_stream_dir, ec);
-      std::string path = args.chrome_stream_dir + "/" + scenario.name + "-" +
-                         std::to_string(failure_index) + ".json";
-      trace::Tracer capture;
-      trace::ChromeStreamFile sink(path, capture.symbols());
-      if (!sink.ok()) {
-        std::fprintf(stderr, "  could not open chrome trace %s\n", path.c_str());
-      } else {
-        capture.set_sink(&sink);
-        explorer.Replay(failure.repro, scenario.body, &capture);
-        capture.FlushSink();
-        capture.set_sink(nullptr);
-        if (sink.Finish()) {
-          std::printf("  chrome trace (streamed): %s\n", path.c_str());
-        } else {
-          std::fprintf(stderr, "  could not write chrome trace %s\n", path.c_str());
-        }
       }
     }
     if (args.trace_ring > 0) {
