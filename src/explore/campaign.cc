@@ -197,9 +197,12 @@ void Campaign::NoteFailure(ScenarioSlot& slot, const ScheduleOutcome& outcome) {
 
 void Campaign::RunBatch(const std::vector<std::string>& repros, bool admit,
                         bool validate_replay) {
+  // Each input is decoded once, here, to route it to its scenario; the replay runs the decoded
+  // form.
   struct Task {
     const std::string* repro = nullptr;
     ScenarioSlot* slot = nullptr;
+    CampaignInput input;
   };
   std::vector<Task> tasks;
   tasks.reserve(repros.size());
@@ -215,20 +218,23 @@ void Campaign::RunBatch(const std::vector<std::string>& repros, bool admit,
                                "': " + repro);
       continue;
     }
-    tasks.push_back(Task{&repro, slot});
+    tasks.push_back(Task{&repro, slot, std::move(input)});
   }
 
   std::vector<ScheduleOutcome> outcomes(tasks.size());
   std::vector<std::string> run_errors(tasks.size());
   WorkerPool pool(static_cast<int>(arenas_.size()));
   pool.Run(tasks.size(), [&](size_t worker, size_t k) {
-    Explorer& explorer = *tasks[k].slot->explorer;
-    const TestBody& body = tasks[k].slot->scenario.body;
-    WorkerArena* arena = arenas_[worker].get();
+    const Task& task = tasks[k];
+    auto replay = [&] {
+      return task.slot->explorer->Replay(task.input.runtime_seed, task.input.decisions,
+                                         task.input.fault_plan, task.slot->scenario.body,
+                                         nullptr, arenas_[worker].get());
+    };
     try {
-      outcomes[k] = explorer.Replay(*tasks[k].repro, body, nullptr, arena);
+      outcomes[k] = replay();
       if (validate_replay) {
-        ScheduleOutcome again = explorer.Replay(*tasks[k].repro, body, nullptr, arena);
+        ScheduleOutcome again = replay();
         if (again.trace_hash != outcomes[k].trace_hash) {
           run_errors[k] = "nondeterministic replay of " + *tasks[k].repro;
         }
@@ -304,7 +310,9 @@ const CampaignStatus& Campaign::Run() {
       continue;
     }
     ScheduleOutcome outcome =
-        slot->explorer->Replay(crash, slot->scenario.body, nullptr, arenas_[0].get());
+        slot->explorer->Replay(input.runtime_seed, std::move(input.decisions),
+                               std::move(input.fault_plan), slot->scenario.body, nullptr,
+                               arenas_[0].get());
     ++status_.inputs_run;
     MergeCoverage(outcome);
     if (!outcome.failed) {

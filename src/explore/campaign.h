@@ -5,7 +5,7 @@
 // a corpus, turning the same machinery into a bug-mining service:
 //
 //   coverage  = prefix trace hashes (hash.h — partial executions count)
-//             ∪ interleaving/lockset edges (detector.h CollectTraceCoverage)
+//             ∪ interleaving/lockset edges (detector.h TraceFold)
 //             ∪ fault-firing and watchdog-report keys (src/fault/watchdog.cc kinds ride in
 //               kWatchdogReport trace events)
 //

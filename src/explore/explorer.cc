@@ -37,9 +37,6 @@ double SecSince(ProfileClock::time_point start) {
 constexpr double kPreemptProbability = 0.15;
 constexpr double kShuffleProbability = 0.3;
 
-// Events between two coverage prefix hashes (ExploreOptions::collect_coverage).
-constexpr size_t kCoverageStride = 64;
-
 // Exec-fiber stack: holds the scenario body's own frame plus the scheduler run loop, while
 // every simulated thread runs on its own fiber stack.
 constexpr size_t kExecStackBytes = 256 * 1024;
@@ -86,12 +83,6 @@ void AddRunCounters(const ExploreProfile& worker, ExploreProfile* total) {
 }  // namespace
 
 Explorer::Explorer(ExploreOptions options) : options_(std::move(options)) {}
-
-struct Explorer::TraceFold {
-  TraceHasher hasher;
-  TraceAnalyzer analyzer;
-  size_t events = 0;  // both folds cover the run's first `events` events
-};
 
 // One explored Runtime, set up alike for every run: the Config with the run's seed on the
 // arena's stacks, the arena's trace buffer, the recorder (or a replayer in its place) and, when
@@ -193,48 +184,19 @@ ScheduleOutcome Explorer::RunPlan(const Plan& plan, int schedule_index, const Te
 
 void Explorer::FillOutcome(Harness& run, int schedule_index, ScheduleOutcome* out,
                            const TraceFold* resume) const {
-  const trace::Tracer& tracer = run.rt.tracer();
   out->schedule_index = schedule_index;
   const auto detector_start = ProfileClock::now();
+  TraceFold& fold = run.arena.fold;
   if (resume != nullptr) {
-    // O(suffix) analysis: the detector is a left fold over the event stream, so resuming a
-    // prefix-fed analyzer over events [resume->events, end) yields exactly the findings of a
-    // full-trace pass (the equivalence suite checks this against from-zero mode).
-    TraceAnalyzer analyzer(resume->analyzer);
-    for (const trace::Event& e : tracer.view(resume->events)) {
-      analyzer.Feed(e);
-    }
-    out->findings = analyzer.Finish();
+    fold = *resume;  // O(suffix): the fold goes on from the shared prefix
   } else {
-    out->findings = AnalyzeTrace(tracer);
+    fold.Reset(options_.collect_coverage, options_.coverage_salt);
   }
+  fold.Feed(run.rt.tracer());
+  out->findings = fold.Findings();
+  out->trace_hash = fold.hash();
+  out->coverage = fold.Coverage();
   run.arena.profile.detector_sec += SecSince(detector_start);
-  std::vector<uint64_t> prefix_hashes;
-  if (options_.collect_coverage) {
-    prefix_hashes = TracePrefixHashes(tracer, kCoverageStride);
-  }
-  if (resume != nullptr) {
-    TraceHasher hasher = resume->hasher;
-    for (const trace::Event& e : tracer.view(resume->events)) {
-      hasher.Mix(e);
-    }
-    out->trace_hash = hasher.value();
-  } else if (options_.collect_coverage) {
-    out->trace_hash = prefix_hashes.back();  // covers the whole trace: one hash pass, not two
-  } else {
-    out->trace_hash = TraceHash(tracer);
-  }
-  if (options_.collect_coverage) {
-    out->coverage = std::move(prefix_hashes);
-    for (uint64_t& h : out->coverage) {
-      h ^= options_.coverage_salt;  // scenario-scope the state fingerprints too
-    }
-    std::vector<uint64_t> edges = CollectTraceCoverage(tracer, options_.coverage_salt);
-    out->coverage.insert(out->coverage.end(), edges.begin(), edges.end());
-    std::sort(out->coverage.begin(), out->coverage.end());
-    out->coverage.erase(std::unique(out->coverage.begin(), out->coverage.end()),
-                        out->coverage.end());
-  }
   out->failures = run.ctx.failures();
   if (options_.fail_on_findings) {
     for (const Finding& f : out->findings) {
@@ -341,6 +303,9 @@ class Explorer::CheckpointCursor : public Explorer::GroupCursor {
             arena.stacks.Acquire(kExecStackBytes), &arena.stacks) {
     run_.rt.scheduler().set_checkpoint_hook([this] { exec_.Suspend(); });
     nodes_.reserve(group.depths.size());
+    if (arena.node_folds.size() <= group.depths.size()) {
+      arena.node_folds.resize(group.depths.size() + 1);
+    }
   }
 
   ~CheckpointCursor() override {
@@ -385,21 +350,22 @@ class Explorer::CheckpointCursor : public Explorer::GroupCursor {
     if (std::uncaught_exceptions() > 0) {
       throw ExceptionInFlight{};
     }
-    // Paused: fold the events since the node into the child's trace folds. No snapshot yet:
-    // a sibling with the same fingerprint is pruned before a checkpoint is spent on it.
-    const TraceFold* base = resume();
-    TraceFold fold = base != nullptr ? *base : TraceFold{};
-    for (const trace::Event& e : run_.rt.tracer().view(fold.events)) {
-      fold.hasher.Mix(e);
-      fold.analyzer.Feed(e);
+    // Paused: fold the events since the node into the child's fold, the arena's fold of the
+    // level below. No snapshot yet: a sibling with the same fingerprint is pruned before a
+    // checkpoint is spent on it.
+    TraceFold& fold = paused_fold();
+    if (const TraceFold* base = resume(); base != nullptr) {
+      fold = *base;
+    } else {
+      fold.Reset(explorer_.options_.collect_coverage, explorer_.options_.coverage_salt);
     }
-    fold.events = run_.rt.tracer().size();
-    pending_ = std::move(fold);
+    fold.Feed(run_.rt.tracer());
     return true;
   }
-  uint64_t fingerprint() const override { return pending_.hasher.value(); }
+  uint64_t fingerprint() const override { return paused_fold().hash(); }
   void Enter() override {
-    nodes_.push_back(NodeState{run_.recorder, run_.injector, run_.ctx, std::move(pending_),
+    // The paused run's fold is already in place: it becomes the new node's.
+    nodes_.push_back(NodeState{run_.recorder, run_.injector, run_.ctx,
                                std::make_unique<pcr::Checkpoint>(run_.rt.scheduler(),
                                                                  run_.rt.tracer(), &exec_)});
     ++saves_;
@@ -410,19 +376,21 @@ class Explorer::CheckpointCursor : public Explorer::GroupCursor {
  protected:
   Harness& run() override { return run_; }
   const TraceFold* resume() const override {
-    return nodes_.empty() ? nullptr : &nodes_.back().fold;
+    return nodes_.empty() ? nullptr : &arena_.node_folds[nodes_.size() - 1];
   }
 
  private:
-  // A node's host-frame run state and trace folds, beside the snapshot of the simulation. The
-  // checkpoint is the last member, so it is destroyed first.
+  // A node's host-frame run state beside the snapshot of the simulation; its trace fold is
+  // arena_.node_folds[depth]. The checkpoint is the last member, so it is destroyed first.
   struct NodeState {
     RecordingPerturber recorder;
     fault::Injector injector;
     TestContext ctx;
-    TraceFold fold;
     std::unique_ptr<pcr::Checkpoint> ckpt;
   };
+
+  // The fold of the run paused below the nodes the walk stands in.
+  TraceFold& paused_fold() const { return arena_.node_folds[nodes_.size()]; }
 
   // Runs the exec fiber until it pauses or ends, timed into the profile.
   void Resume() {
@@ -435,7 +403,6 @@ class Explorer::CheckpointCursor : public Explorer::GroupCursor {
   Harness run_;
   pcr::Fiber exec_;
   std::vector<NodeState> nodes_;  // the nodes the walk stands in, root first
-  TraceFold pending_;             // the paused run's folds, until Enter snapshots it
   int64_t saves_ = 0;
   int64_t resumes_ = 0;
   int64_t bytes_ = 0;
@@ -700,12 +667,24 @@ ScheduleOutcome Explorer::Replay(const std::string& repro, const TestBody& body,
                                  trace::Tracer* capture, WorkerArena* arena) const {
   std::string scenario;
   std::string fault_text;
-  Plan plan;
-  plan.replay_mode = true;
-  if (!DecodeRepro(repro, &scenario, &plan.runtime_seed, &plan.replay, &fault_text)) {
+  uint64_t runtime_seed = 0;
+  std::vector<Decision> decisions;
+  if (!DecodeRepro(repro, &scenario, &runtime_seed, &decisions, &fault_text)) {
     throw pcr::UsageError("malformed repro string: " + repro);
   }
-  plan.fault_plan = fault::Plan::Decode(fault_text);  // throws UsageError on a bad field
+  // Plan::Decode throws UsageError on a bad field.
+  return Replay(runtime_seed, std::move(decisions), fault::Plan::Decode(fault_text), body,
+                capture, arena);
+}
+
+ScheduleOutcome Explorer::Replay(uint64_t runtime_seed, std::vector<Decision> decisions,
+                                 fault::Plan fault_plan, const TestBody& body,
+                                 trace::Tracer* capture, WorkerArena* arena) const {
+  Plan plan;
+  plan.runtime_seed = runtime_seed;
+  plan.replay = std::move(decisions);
+  plan.replay_mode = true;
+  plan.fault_plan = std::move(fault_plan);
   WorkerArena local;
   return RunPlan(plan, -1, body, arena != nullptr ? *arena : local, capture);
 }

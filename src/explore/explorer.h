@@ -78,8 +78,8 @@ struct ExploreOptions {
   // free, but they are merged in schedule-index order.
   int workers = 0;
   // Populate ScheduleOutcome::coverage after each run (campaign.h's feedback signal): prefix
-  // trace hashes every 64 events plus the interleaving/fault/watchdog keys from
-  // CollectTraceCoverage. Off by default — plain exploration never pays for it.
+  // trace hashes every 64 events plus the interleaving/fault/watchdog edge keys (TraceFold).
+  // Off by default — plain exploration never pays for it.
   bool collect_coverage = false;
   uint64_t coverage_salt = 0;  // mixed into every key; the campaign salts per scenario
   // Execute schedule groups by checkpoint-and-branch: snapshot the simulation at each group's
@@ -112,7 +112,7 @@ struct ScheduleOutcome {
   uint64_t total_decisions = 0;       // consultations of either kind (the d1/d2 index space)
   std::vector<fault::ScriptedFault> fired_faults;  // faults that fired, in firing order
   // Sorted, deduplicated coverage keys (only with ExploreOptions::collect_coverage): prefix
-  // trace hashes + CollectTraceCoverage edges. The campaign unions these per run.
+  // trace hashes + TraceFold's edge keys. The campaign unions these per run.
   std::vector<uint64_t> coverage;
 };
 
@@ -126,7 +126,7 @@ struct ExploreProfile {
   double sweep_sec = 0;      // the parallel schedule fan-out
   double minimize_sec = 0;   // shrinking failing decision streams
   double run_sec = 0;        // summed: body execution + runtime shutdown, all schedules
-  double detector_sec = 0;   // summed: AnalyzeTrace over every schedule's trace
+  double detector_sec = 0;   // summed: the trace fold (detector, hash, coverage) of every run
   double schedules_per_sec = 0;
   // Runtime counters summed across every schedule the Explore call executed (baseline, sweep,
   // minimization replays). stack_pool_hits depends on which worker ran which schedule, so it is
@@ -164,19 +164,24 @@ struct ExploreResult {
 };
 
 // What one pool worker carries from run to run: warm capacity and its own profile counters.
-// The capacity is guard-paged stacks and the trace event buffer, the two dominant per-Runtime
-// allocations. Explore keeps one arena per pool worker for the call; the campaign keeps one per
-// pool worker for its lifetime. Only *capacity* is recycled: a recycled stack still holds its
-// last user's bytes, but no defined behaviour reads stack memory before writing it, so a warm
-// arena and a fresh one produce byte-identical outcomes — which is what keeps results
-// independent of worker count. The symbol table is deliberately not here: interning order
-// differs per schedule, so reuse would leak state. Used by one OS thread at a time, so workers
-// share no counter: each run adds its run time, detector time, substrate, checkpoint and pruning
-// counts to its own arena's profile, and Explore sums the arenas after the sweep. The alignment
-// keeps two workers' arenas off one cache line.
+// The capacity is guard-paged stacks, the trace event buffer and the trace folds, the dominant
+// per-run allocations. Explore keeps one arena per pool worker for the call; the campaign keeps
+// one per pool worker for its lifetime. Only *capacity* is recycled: a recycled stack still
+// holds its last user's bytes, but no defined behaviour reads stack memory before writing it,
+// and every fold is reset or assigned over before it is fed, so a warm arena and a fresh one
+// produce byte-identical outcomes — which is what keeps results independent of worker count.
+// The symbol table is deliberately not here: interning order differs per schedule, so reuse
+// would leak state. Used by one OS thread at a time, so workers share no counter: each run adds
+// its run time, detector time, substrate, checkpoint and pruning counts to its own arena's
+// profile, and Explore sums the arenas after the sweep. The alignment keeps two workers' arenas
+// off one cache line.
 struct alignas(64) WorkerArena {
   pcr::StackPool stacks;
   trace::SegmentArena trace_buffer;
+  // The fold that finishes each run (FillOutcome), and the checkpoint cursor's folds: one per
+  // tree level, the folds of the nodes it stands in and of the run paused below them.
+  TraceFold fold;
+  std::vector<TraceFold> node_folds;
   ExploreProfile profile;
 };
 
@@ -195,6 +200,10 @@ class Explorer {
   // otherwise); the outcome is the same either way. Safe to call concurrently on distinct
   // arenas.
   ScheduleOutcome Replay(const std::string& repro, const TestBody& body,
+                         trace::Tracer* capture = nullptr, WorkerArena* arena = nullptr) const;
+  // The same, from a repro already decoded (the campaign decodes each input once to route it).
+  ScheduleOutcome Replay(uint64_t runtime_seed, std::vector<Decision> decisions,
+                         fault::Plan fault_plan, const TestBody& body,
                          trace::Tracer* capture = nullptr, WorkerArena* arena = nullptr) const;
 
   // Prefix-truncates and zeroes decisions (and shrinks fault plans to the fired script) while
@@ -234,7 +243,6 @@ class Explorer {
     fault::Plan fault_plan;
   };
 
-  struct TraceFold;
   class Harness;
   class GroupCursor;
   class CheckpointCursor;
@@ -261,11 +269,12 @@ class Explorer {
   // lives here. The pruning counts reach `profile` only when the walk completes.
   static void WalkGroup(const GroupPlan& group, GroupCursor& cursor,
                         std::vector<ScheduleOutcome>* outcomes, ExploreProfile& profile);
-  // Shared post-run analysis: detector, trace hash, coverage, failures; the caller adds the
-  // repro where one is read. With `resume` (checkpointed groups fold the shared prefix once),
-  // the trace hash and the detector continue from the fold over the suffix only — FNV
-  // continuation and the detector's left fold are value-identical to the full pass, which the
-  // equivalence suite checks against from-zero mode.
+  // Shared post-run analysis: one TraceFold pass for detector, trace hash and coverage, then
+  // the failures; the caller adds the repro where one is read. The fold is the arena's, reset
+  // for the run, or with `resume` (checkpointed groups fold the shared prefix once) assigned
+  // from that fold and fed the suffix only — FNV continuation and the detector's left fold are
+  // value-identical to the full pass, which the equivalence suite checks against from-zero
+  // mode.
   void FillOutcome(Harness& run, int schedule_index, ScheduleOutcome* out,
                    const TraceFold* resume = nullptr) const;
   // The repro string of a run: its decision stream with trailing defaults trimmed.

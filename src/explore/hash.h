@@ -38,6 +38,12 @@ namespace explore {
 // them, and a copy carries them along.
 class TraceHasher {
  public:
+  static constexpr uint64_t kOffsetBasis = 0xcbf29ce484222325ull;
+
+  TraceHasher() = default;
+  // FNV-1a from another starting value (TraceFold salts its coverage keys this way).
+  explicit TraceHasher(uint64_t basis) : h_(basis) {}
+
   void Mix(const trace::Event& e) {
     MixWord(static_cast<uint64_t>(e.time_us));
     MixWord(static_cast<uint64_t>(e.type));
@@ -83,7 +89,7 @@ class TraceHasher {
     return powers;
   }();
 
-  uint64_t h_ = 0xcbf29ce484222325ull;
+  uint64_t h_ = kOffsetBasis;
   unsigned pending_exponent_ = 0;  // multiplies by kPrime owed to h_
 };
 

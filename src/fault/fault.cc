@@ -197,7 +197,7 @@ Plan MutatePlan(const Plan& plan, std::mt19937_64& rng) {
   return out;
 }
 
-Injector::Injector(Plan plan) : plan_(std::move(plan)), rng_(plan_.seed) {}
+Injector::Injector(Plan plan) : plan_(std::move(plan)) { Reset(); }
 
 void Injector::set_plan(Plan plan) {
   plan_ = std::move(plan);
@@ -205,7 +205,11 @@ void Injector::set_plan(Plan plan) {
 }
 
 void Injector::Reset() {
-  rng_.seed(plan_.seed);
+  if (plan_.rate > 0 && plan_.site_mask != 0) {
+    rng_.emplace(plan_.seed);
+  } else {
+    rng_.reset();
+  }
   for (uint64_t& c : consults_) {
     c = 0;
   }
@@ -224,7 +228,7 @@ uint64_t Injector::OnFaultPoint(FaultSite site) {
   if (value == 0 && plan_.rate > 0 && (plan_.site_mask & SiteBit(site)) != 0) {
     // One RNG step per consult at an armed site, and only there: arming or scripting one site
     // never shifts another site's draw sequence.
-    double draw = static_cast<double>(rng_() >> 11) * 0x1.0p-53;
+    double draw = static_cast<double>((*rng_)() >> 11) * 0x1.0p-53;
     if (draw < plan_.rate) {
       value = plan_.value;
     }

@@ -26,6 +26,7 @@
 #define SRC_FAULT_FAULT_H_
 
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -91,7 +92,9 @@ bool ParseFaultSite(const std::string& name, FaultSite* out);
 // The FaultInjector a Plan drives. Deterministic: consults are counted per site, scripted
 // entries match on (site, consult index), and probabilistic draws take one RNG step per
 // consult at an *armed* site only — so arming one site never changes another site's draws,
-// which is what lets Minimize convert rate-fired plans into scripted ones.
+// which is what lets Minimize convert rate-fired plans into scripted ones. The RNG (2.5 KB of
+// mt19937_64) is seeded and carried only for a plan that can draw: the explorer builds an
+// injector per run and copies it at every checkpoint node and branch, faults on or off.
 class Injector : public pcr::FaultInjector {
  public:
   explicit Injector(Plan plan = {});
@@ -112,7 +115,7 @@ class Injector : public pcr::FaultInjector {
 
  private:
   Plan plan_;
-  std::mt19937_64 rng_;
+  std::optional<std::mt19937_64> rng_;  // engaged iff the plan arms a rate over some site
   uint64_t consults_[kNumFaultSites] = {};
   std::vector<ScriptedFault> fired_;
 };

@@ -339,8 +339,8 @@ TEST(WorkerArenaTest, WarmArenaReplaysTheCommittedCorpusLikeAFreshOne) {
   EXPECT_GT(shared.stacks.stats().pool_hits, 0u);
 }
 
-// FillOutcome takes a coverage run's trace hash from its last prefix hash, which covers the
-// whole trace, so the two must agree whether or not the stride divides the event count.
+// The last prefix hash covers the whole trace, so it is the trace hash whether or not the stride
+// divides the event count (a coverage run's last fingerprint is its trace hash too).
 TEST(TraceHashTest, LastPrefixHashIsTheTraceHash) {
   trace::Tracer tracer;
   EXPECT_EQ(explore::TracePrefixHashes(tracer, 4).back(), explore::TraceHash(tracer))

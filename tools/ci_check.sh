@@ -4,12 +4,13 @@
 #
 #   tools/ci_check.sh [sanitizer]       # sanitizer: address (default) or thread
 #
-# Build trees go to build-ci-release/, build-ci-ucontext/, build-ci-<sanitizer>/ and
-# build-ci-undefined/ next to the source tree; override with BUILD_RELEASE / BUILD_UCONTEXT /
-# BUILD_SANITIZED / BUILD_UBSAN. The sanitized pass catches memory errors the virtual-time
-# runtime can otherwise hide (fiber stacks are mmap'd, so plain runs rarely crash); the
-# fiber-switch annotations in src/pcr/fiber.cc keep ASan correct across both the assembly and
-# ucontext switch paths. The UBSan pass is the one sanitizer leg under which checkpoints run.
+# Build trees go to build-ci-release/, build-ci-ucontext/, build-ci-<sanitizer>/,
+# build-ci-undefined/ and build-ci-hostbench/ next to the source tree; override with
+# BUILD_RELEASE / BUILD_UCONTEXT / BUILD_SANITIZED / BUILD_UBSAN / BUILD_HOSTBENCH. The
+# sanitized pass catches memory errors the virtual-time runtime can otherwise hide (fiber stacks
+# are mmap'd, so plain runs rarely crash); the fiber-switch annotations in src/pcr/fiber.cc keep
+# ASan correct across both the assembly and ucontext switch paths. The UBSan pass is the one
+# sanitizer leg under which checkpoints run.
 set -eu
 
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
@@ -179,6 +180,16 @@ cmake --build "$BUILD_UBSAN" -j"$JOBS"
 (cd "$BUILD_UBSAN" && ctest --output-on-failure -j"$JOBS" -L checkpoint)
 (cd "$BUILD_UBSAN" && ctest --output-on-failure -j"$JOBS" -L dpor)
 (cd "$BUILD_UBSAN" && ctest --output-on-failure -j"$JOBS" -L campaign)
+
+# The repository benchmark: nothing else builds hostbench/, yet it calls src/ entry points
+# (explore::AnalyzeTrace, TraceHash, ExploreProfile, ...), so a change to one of them must not
+# break it unnoticed. Its own CMake project in its own tree; its ctest runs the helper tests and
+# `hostbench --smoke`, one minimal pass of every workload (about 0.2 s).
+BUILD_HOSTBENCH=${BUILD_HOSTBENCH:-"$ROOT/build-ci-hostbench"}
+echo "== Benchmark build (hostbench/) and smoke run"
+cmake -S "$ROOT/hostbench" -B "$BUILD_HOSTBENCH" -DCMAKE_BUILD_TYPE=Release > /dev/null
+cmake --build "$BUILD_HOSTBENCH" -j"$JOBS"
+(cd "$BUILD_HOSTBENCH" && ctest --output-on-failure -j"$JOBS")
 
 # Host-timing gates, last: they time this host's CPU, so a slow or crowded window can fail
 # them when the code is fine, and a failure here must not hide the deterministic legs above.
