@@ -8,7 +8,9 @@
 #
 # Contents: every `pcrsim --list` scenario at seeds 1 and 2 (summary row + cksum of the saved
 # trace), the five --load-scenario runs (percentiles + trace hash), `pcrcheck --all
-# --workers=1` (verdicts, repros, replay hashes), bench_service_load's whole table, and a
+# --workers=1` (verdicts, repros, replay hashes), the explorer's boundary and pruning counters
+# from `pcrcheck --profile` (--all, then every scenario at --budget=2000 with its repros),
+# bench_service_load's whole table, and a
 # 20-round `pcrcheck --campaign` from an empty corpus (report + corpus file names), which must
 # print the same text at --workers=1 and --workers=4.
 set -eu
@@ -24,6 +26,12 @@ PCRCHECK=$BUILD/tools/pcrcheck
 SERVICE_LOAD=$BUILD/bench/bench_service_load
 # Short runs keep the whole lock at about two seconds on a Release build.
 DURATION=5
+# The pcrcheck --profile lines the lock keeps. The checkpoint_* counters are left out: saves
+# and resumes are 0 where pcr::Checkpoint is unsupported (ucontext fibers, sanitizers), and
+# checkpoint_bytes counts host stack-frame bytes, which move with the compiler's inlining.
+HEADER='^== '
+PRUNING='^  counter (boundary_d[123]|pruned_schedules|dpor_pruned|drain_spliced) '
+VERDICT='^  (repro|replay x2|verdict): '
 
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
@@ -64,6 +72,15 @@ generate() {
   echo "# pcrcheck --all --workers=1"
   run "$PCRCHECK" --all --workers=1
   cat "$TMP/out"
+  echo "# pcrcheck --profile --workers=1, --all then each scenario at --budget=2000: boundary"
+  echo "# and pruning counters, and the budget-2000 repros (no wall clock, no checkpoint_*)"
+  run "$PCRCHECK" --all --workers=1 --profile
+  grep -E "$HEADER|$PRUNING" "$TMP/out"
+  run "$PCRCHECK" --list
+  for slug in $(cut -d' ' -f1 "$TMP/out"); do
+    run "$PCRCHECK" --scenario="$slug" --budget=2000 --workers=1 --profile
+    grep -E "$HEADER|$PRUNING|$VERDICT" "$TMP/out"
+  done
   echo "# bench_service_load"
   run "$SERVICE_LOAD"
   cat "$TMP/out"
