@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "src/explore/pool.h"
-#include "src/pcr/errors.h"
 #include "src/trace/json.h"
 
 namespace explore {
@@ -17,13 +16,6 @@ namespace {
 constexpr int kStatusEvery = 10;
 // Corpus admission stops past this many entries (coverage is still counted).
 constexpr size_t kMaxCorpusEntries = 4096;
-
-std::vector<Decision> TrimTrailingDefaults(std::vector<Decision> decisions) {
-  while (!decisions.empty() && decisions.back() == 0) {
-    decisions.pop_back();
-  }
-  return decisions;
-}
 
 // Same identity SameFailure uses: the first detector finding when there is one, otherwise the
 // first assertion message (stable text per Check call site).
@@ -36,37 +28,20 @@ std::string FailureKey(const std::string& scenario, const ScheduleOutcome& outco
   return key + (outcome.failures.empty() ? "unknown" : outcome.failures.front());
 }
 
+// How an error message names an input: its text, or its encoding when it has none.
+std::string InputText(const Corpus::Entry& entry) {
+  return entry.text.empty() ? entry.input.Encode() : entry.text;
+}
+
 }  // namespace
-
-// ---------------------------------------------------------------- CampaignInput
-
-std::string CampaignInput::Encode() const {
-  return EncodeRepro(scenario, runtime_seed, decisions,
-                     fault_plan.enabled() ? fault_plan.Encode() : std::string());
-}
-
-bool CampaignInput::Decode(const std::string& repro, CampaignInput* out) {
-  CampaignInput in;
-  std::string fault_text;
-  if (!DecodeRepro(repro, &in.scenario, &in.runtime_seed, &in.decisions, &fault_text)) {
-    return false;
-  }
-  try {
-    in.fault_plan = fault::Plan::Decode(fault_text);
-  } catch (const pcr::UsageError&) {
-    return false;
-  }
-  *out = std::move(in);
-  return true;
-}
 
 // ---------------------------------------------------------------------- Mutator
 
 Mutator::Mutator(uint64_t seed, size_t max_decisions)
     : rng_(seed), max_decisions_(std::max<size_t>(max_decisions, 16)) {}
 
-CampaignInput Mutator::Mutate(const CampaignInput& parent, const CampaignInput* splice) {
-  CampaignInput out = parent;
+Repro Mutator::Mutate(const Repro& parent, const Repro* splice) {
+  Repro out = parent;
   auto draw = [this](uint64_t n) -> uint64_t { return n == 0 ? 0 : rng_() % n; };
   // Decision values are biased toward the ones the perturber protocol acts on: 1 fires a
   // forced preempt (or picks ready-queue candidate 1), small values pick nearby candidates,
@@ -195,30 +170,22 @@ void Campaign::NoteFailure(ScenarioSlot& slot, const ScheduleOutcome& outcome) {
   status_.crash_entries = corpus_.crashes().size();
 }
 
-void Campaign::RunBatch(const std::vector<std::string>& repros, bool admit,
+void Campaign::RunBatch(const std::vector<Corpus::Entry>& inputs, bool admit,
                         bool validate_replay) {
-  // Each input is decoded once, here, to route it to its scenario; the replay runs the decoded
-  // form.
   struct Task {
-    const std::string* repro = nullptr;
+    const Corpus::Entry* entry = nullptr;
     ScenarioSlot* slot = nullptr;
-    CampaignInput input;
   };
   std::vector<Task> tasks;
-  tasks.reserve(repros.size());
-  for (const std::string& repro : repros) {
-    CampaignInput input;
-    if (!CampaignInput::Decode(repro, &input)) {
-      status_.errors.push_back("malformed corpus entry: " + repro);
-      continue;
-    }
-    ScenarioSlot* slot = FindSlot(input.scenario);
+  tasks.reserve(inputs.size());
+  for (const Corpus::Entry& entry : inputs) {
+    ScenarioSlot* slot = FindSlot(entry.input.scenario);
     if (slot == nullptr) {
-      status_.errors.push_back("corpus entry names unknown scenario '" + input.scenario +
-                               "': " + repro);
+      status_.errors.push_back("corpus entry names unknown scenario '" + entry.input.scenario +
+                               "': " + InputText(entry));
       continue;
     }
-    tasks.push_back(Task{&repro, slot, std::move(input)});
+    tasks.push_back(Task{&entry, slot});
   }
 
   std::vector<ScheduleOutcome> outcomes(tasks.size());
@@ -227,20 +194,19 @@ void Campaign::RunBatch(const std::vector<std::string>& repros, bool admit,
   pool.Run(tasks.size(), [&](size_t worker, size_t k) {
     const Task& task = tasks[k];
     auto replay = [&] {
-      return task.slot->explorer->Replay(task.input.runtime_seed, task.input.decisions,
-                                         task.input.fault_plan, task.slot->scenario.body,
-                                         nullptr, arenas_[worker].get());
+      return task.slot->explorer->Replay(task.entry->input, task.slot->scenario.body, nullptr,
+                                         arenas_[worker].get());
     };
     try {
       outcomes[k] = replay();
       if (validate_replay) {
         ScheduleOutcome again = replay();
         if (again.trace_hash != outcomes[k].trace_hash) {
-          run_errors[k] = "nondeterministic replay of " + *tasks[k].repro;
+          run_errors[k] = "nondeterministic replay of " + InputText(*task.entry);
         }
       }
     } catch (const std::exception& e) {
-      run_errors[k] = std::string("replay threw: ") + e.what() + " for " + *tasks[k].repro;
+      run_errors[k] = std::string("replay threw: ") + e.what() + " for " + InputText(*task.entry);
     }
   });
 
@@ -279,44 +245,36 @@ const CampaignStatus& Campaign::Run() {
   }
   // Unreadable/malformed individual entries are reported but do not kill the campaign.
   status_.errors.insert(status_.errors.end(), load_errors.begin(), load_errors.end());
-  std::vector<std::string> loaded_entries = corpus_.entries();
-  std::vector<std::string> loaded_crashes = corpus_.crashes();
+  // Copies: admission and crash filing below grow the corpus while these replay.
+  const std::vector<Corpus::Entry> loaded_entries = corpus_.entries();
+  const std::vector<Corpus::Entry> loaded_crashes = corpus_.crashes();
 
   // Phase A: every scenario's unperturbed baseline. From an empty corpus this is what seeds
   // the first coverage and the first corpus entries.
-  std::vector<std::string> baselines;
+  std::vector<Corpus::Entry> baselines;
   for (ScenarioSlot& slot : slots_) {
-    CampaignInput input;
-    input.scenario = slot.scenario.name;
-    input.runtime_seed = slot.scenario.options.base_config.seed;
-    input.fault_plan = slot.scenario.options.fault_plan;
-    baselines.push_back(input.Encode());
+    const ExploreOptions& options = slot.scenario.options;
+    baselines.push_back(
+        {{}, Repro{slot.scenario.name, options.base_config.seed, {}, options.fault_plan}});
   }
   RunBatch(baselines, /*admit=*/true, /*validate_replay=*/false);
 
   // Phase B: replay the loaded corpus, twice per entry (determinism gate), and require every
   // crashes/ entry to still fail — the committed-corpus CI contract.
   RunBatch(loaded_entries, /*admit=*/true, /*validate_replay=*/true);
-  for (const std::string& crash : loaded_crashes) {
-    CampaignInput input;
-    if (!CampaignInput::Decode(crash, &input)) {
-      status_.errors.push_back("malformed crash entry: " + crash);
-      continue;
-    }
-    ScenarioSlot* slot = FindSlot(input.scenario);
+  for (const Corpus::Entry& crash : loaded_crashes) {
+    ScenarioSlot* slot = FindSlot(crash.input.scenario);
     if (slot == nullptr) {
-      status_.errors.push_back("crash entry names unknown scenario '" + input.scenario +
-                               "': " + crash);
+      status_.errors.push_back("crash entry names unknown scenario '" + crash.input.scenario +
+                               "': " + crash.text);
       continue;
     }
     ScheduleOutcome outcome =
-        slot->explorer->Replay(input.runtime_seed, std::move(input.decisions),
-                               std::move(input.fault_plan), slot->scenario.body, nullptr,
-                               arenas_[0].get());
+        slot->explorer->Replay(crash.input, slot->scenario.body, nullptr, arenas_[0].get());
     ++status_.inputs_run;
     MergeCoverage(outcome);
     if (!outcome.failed) {
-      status_.errors.push_back("crash entry no longer fails: " + crash);
+      status_.errors.push_back("crash entry no longer fails: " + crash.text);
       continue;
     }
     // Register the bug identity without re-minimizing (the entry is already minimal).
@@ -328,25 +286,20 @@ const CampaignStatus& Campaign::Run() {
   // Phase C: coverage-guided mutation rounds.
   Mutator mutator(options_.seed ^ 0x9e3779b97f4a7c15ull);
   for (int round = 0; round < options_.rounds; ++round) {
-    const std::vector<std::string>& parents = corpus_.entries();
+    const std::vector<Corpus::Entry>& parents = corpus_.entries();
     if (parents.empty()) {
       status_.errors.push_back("campaign has no runnable corpus entries");
       break;
     }
-    std::vector<std::string> batch;
+    std::vector<Corpus::Entry> batch;
     batch.reserve(static_cast<size_t>(options_.batch));
     for (int b = 0; b < options_.batch; ++b) {
-      CampaignInput parent;
-      if (!CampaignInput::Decode(parents[master_() % parents.size()], &parent)) {
-        continue;  // cannot happen: admission re-encodes canonically
+      const Repro& parent = parents[master_() % parents.size()].input;
+      const Repro* splice = nullptr;
+      if (parents.size() > 1 && master_() % 2 == 0) {
+        splice = &parents[master_() % parents.size()].input;
       }
-      CampaignInput partner;
-      const CampaignInput* splice = nullptr;
-      if (parents.size() > 1 && master_() % 2 == 0 &&
-          CampaignInput::Decode(parents[master_() % parents.size()], &partner)) {
-        splice = &partner;
-      }
-      batch.push_back(mutator.Mutate(parent, splice).Encode());
+      batch.push_back({{}, mutator.Mutate(parent, splice)});
     }
     RunBatch(batch, /*admit=*/true, /*validate_replay=*/false);
     ++status_.rounds_completed;

@@ -9,13 +9,15 @@
 //             ∪ fault-firing and watchdog-report keys (src/fault/watchdog.cc kinds ride in
 //               kWatchdogReport trace events)
 //
-//   corpus    = inputs that discovered new coverage, one 5-field repro string per file
-//               (corpus.h); failing inputs are minimized with Explorer::Minimize and kept
-//               under crashes/.
+//   corpus    = inputs that discovered new coverage, one repro string per file, each kept
+//               decoded beside its text (corpus.h); failing inputs are minimized with
+//               Explorer::Minimize and kept under crashes/.
 //
 //   mutation  = a seeded, wall-clock-free Mutator that splices decision prefixes between
 //               corpus entries, flips/extends/truncates decisions, re-sweeps runtime seeds,
-//               and perturbs fault plans via fault::MutatePlan.
+//               and perturbs fault plans via fault::MutatePlan. It works on decoded Repro
+//               values: an offspring is replayed as it was made and never becomes text; only
+//               the repro of a run the corpus admits is written.
 //
 // Rounds fan candidate executions across the explorer's WorkerPool, but every decision that
 // shapes the corpus — candidate generation, coverage union, corpus admission, crash dedup,
@@ -40,26 +42,10 @@
 
 #include "src/explore/corpus.h"
 #include "src/explore/explorer.h"
+#include "src/explore/repro.h"
 #include "src/explore/scenarios.h"
-#include "src/fault/fault.h"
 
 namespace explore {
-
-// One fuzzing input, the decoded form of a 5-field repro string: which scenario to run, the
-// runtime seed, the schedule-decision prefix (replayed verbatim, defaults past the end), and
-// the fault plan.
-struct CampaignInput {
-  std::string scenario;
-  uint64_t runtime_seed = 1;
-  std::vector<Decision> decisions;
-  fault::Plan fault_plan;
-
-  std::string Encode() const;
-  // Strict decode: false on malformed repro or fault-plan text (never throws).
-  static bool Decode(const std::string& repro, CampaignInput* out);
-
-  bool operator==(const CampaignInput&) const = default;
-};
 
 // Deterministic input mutator. Seeded once; every offspring is a pure function of the RNG
 // stream, so campaigns are replayable and worker-count independent. `splice` (optional) must
@@ -69,7 +55,7 @@ class Mutator {
  public:
   explicit Mutator(uint64_t seed, size_t max_decisions = 2048);
 
-  CampaignInput Mutate(const CampaignInput& parent, const CampaignInput* splice = nullptr);
+  Repro Mutate(const Repro& parent, const Repro* splice = nullptr);
 
  private:
   std::mt19937_64 rng_;
@@ -130,9 +116,10 @@ class Campaign {
   };
 
   ScenarioSlot* FindSlot(const std::string& name);
-  // Runs `repros` across the pool and merges serially in index order: coverage union, corpus
-  // admission (when `admit`), crash handling. Appends per-input validation errors.
-  void RunBatch(const std::vector<std::string>& repros, bool admit, bool validate_replay);
+  // Runs `inputs` across the pool and merges serially in index order: coverage union, corpus
+  // admission (when `admit`), crash handling. Appends per-input validation errors, which name
+  // an input by its text, or by its encoding where it has none (baselines and offspring).
+  void RunBatch(const std::vector<Corpus::Entry>& inputs, bool admit, bool validate_replay);
   // True when `outcome` contributed at least one unseen coverage key (and records them all).
   bool MergeCoverage(const ScheduleOutcome& outcome);
   void NoteFailure(ScenarioSlot& slot, const ScheduleOutcome& outcome);

@@ -5,8 +5,6 @@
 #include <filesystem>
 #include <fstream>
 
-#include "src/explore/repro.h"
-
 namespace explore {
 
 namespace fs = std::filesystem;
@@ -46,7 +44,7 @@ bool ReadEntry(const fs::path& path, std::string* out) {
   return true;
 }
 
-bool LoadDir(const fs::path& dir, std::vector<std::string>* out,
+bool LoadDir(const fs::path& dir, std::vector<Corpus::Entry>* out,
              std::vector<std::string>* errors) {
   std::error_code ec;
   if (!fs::exists(dir, ec)) {
@@ -64,21 +62,25 @@ bool LoadDir(const fs::path& dir, std::vector<std::string>* out,
   }
   std::sort(files.begin(), files.end());
   for (const fs::path& path : files) {
-    std::string repro;
-    if (!ReadEntry(path, &repro) || repro.empty()) {
+    Corpus::Entry entry;
+    if (!ReadEntry(path, &entry.text) || entry.text.empty()) {
       errors->push_back("corpus: unreadable or empty entry " + path.string());
       continue;
     }
-    std::string scenario;
-    uint64_t seed = 0;
-    std::vector<Decision> decisions;
-    if (!DecodeRepro(repro, &scenario, &seed, &decisions)) {
+    if (!Repro::Decode(entry.text, &entry.input)) {
       errors->push_back("corpus: malformed repro in " + path.string());
       continue;
     }
-    out->push_back(std::move(repro));
+    out->push_back(std::move(entry));
   }
   return true;
+}
+
+// Restores text order and keeps one entry per text.
+void SortUnique(std::vector<Corpus::Entry>* list) {
+  std::ranges::sort(*list, {}, &Corpus::Entry::text);
+  const auto repeats = std::ranges::unique(*list, {}, &Corpus::Entry::text);
+  list->erase(repeats.begin(), repeats.end());
 }
 
 }  // namespace
@@ -95,47 +97,36 @@ bool Corpus::Load(std::vector<std::string>* errors) {
     }
     return true;
   }
-  std::vector<std::string> loaded;
-  std::vector<std::string> crashes;
-  bool ok = LoadDir(dir_, &loaded, errors);
-  ok = LoadDir(fs::path(dir_) / "crashes", &crashes, errors) && ok;
-  for (std::string& repro : loaded) {
-    if (seen_entries_.insert(repro).second) {
-      entries_.push_back(std::move(repro));
-    }
-  }
-  for (std::string& repro : crashes) {
-    if (seen_crashes_.insert(repro).second) {
-      crashes_.push_back(std::move(repro));
-    }
-  }
-  std::sort(entries_.begin(), entries_.end());
-  std::sort(crashes_.begin(), crashes_.end());
+  bool ok = LoadDir(dir_, &entries_, errors);
+  ok = LoadDir(fs::path(dir_) / "crashes", &crashes_, errors) && ok;
+  SortUnique(&entries_);
+  SortUnique(&crashes_);
   return ok;
 }
 
-bool Corpus::AddTo(const std::string& repro, std::vector<std::string>* list,
-                   std::set<std::string>* seen, const std::string& subdir) {
-  if (repro.empty() || !seen->insert(repro).second) {
+bool Corpus::AddTo(const std::string& text, std::vector<Entry>* list,
+                   const std::string& subdir) {
+  const auto at = std::ranges::lower_bound(*list, text, {}, &Entry::text);
+  if (at != list->end() && at->text == text) {
     return false;
   }
-  list->insert(std::lower_bound(list->begin(), list->end(), repro), repro);
+  Entry entry{text, {}};
+  if (!Repro::Decode(text, &entry.input)) {
+    return false;
+  }
+  list->insert(at, std::move(entry));
   if (!dir_.empty() && !read_only_) {
     std::error_code ec;
     fs::path target = subdir.empty() ? fs::path(dir_) : fs::path(dir_) / subdir;
     fs::create_directories(target, ec);
-    std::ofstream out(target / FileName(repro));
-    out << repro << "\n";
+    std::ofstream out(target / FileName(text));
+    out << text << "\n";
   }
   return true;
 }
 
-bool Corpus::Add(const std::string& repro) {
-  return AddTo(repro, &entries_, &seen_entries_, "");
-}
+bool Corpus::Add(const std::string& text) { return AddTo(text, &entries_, ""); }
 
-bool Corpus::AddCrash(const std::string& repro) {
-  return AddTo(repro, &crashes_, &seen_crashes_, "crashes");
-}
+bool Corpus::AddCrash(const std::string& text) { return AddTo(text, &crashes_, "crashes"); }
 
 }  // namespace explore

@@ -1,46 +1,59 @@
 // On-disk fuzzing corpus: one repro string per file, content-addressed, load-order stable.
 //
 // The campaign's corpus is a set of interesting inputs — (scenario, runtime seed, decision
-// prefix, fault plan) tuples in the 5-field pcr1 repro format (src/explore/repro.h), one per
-// file. Files are named <fnv64-of-content>.repro so the same entry always lands at the same
-// path, concurrent campaigns cannot disagree about names, and `git diff` on a committed corpus
-// is meaningful. Failing inputs live in a crashes/ subdirectory in the same format.
+// prefix, fault plan) schedules in the pcr1 repro format (src/explore/repro.h), one per file.
+// Files are named <fnv64-of-content>.repro so the same entry always lands at the same path,
+// concurrent campaigns cannot disagree about names, and `git diff` on a committed corpus is
+// meaningful. Failing inputs live in a crashes/ subdirectory in the same format. Each entry is
+// decoded once, when it is loaded or added, and kept decoded beside its text: the campaign
+// mutates and replays the decoded form, and an entry whose text does not decode is never
+// admitted.
 //
-// Determinism contract: entries() is sorted by content, so two corpora holding the same
-// entries enumerate identically no matter what order the filesystem returns directory
-// listings or the order Add was called in — a prerequisite for byte-identical corpus
-// evolution at any worker count.
+// Determinism contract: entries() is sorted by text, so two corpora holding the same entries
+// enumerate identically no matter what order the filesystem returns directory listings or the
+// order Add was called in — a prerequisite for byte-identical corpus evolution at any worker
+// count.
 
 #ifndef SRC_EXPLORE_CORPUS_H_
 #define SRC_EXPLORE_CORPUS_H_
 
 #include <cstdint>
-#include <set>
 #include <string>
 #include <vector>
+
+#include "src/explore/repro.h"
 
 namespace explore {
 
 class Corpus {
  public:
+  // One entry: its text, which is its file's content and its sort key, and the schedule
+  // decoded from that text.
+  struct Entry {
+    std::string text;
+    Repro input;
+  };
+
   // `dir` == "" keeps the corpus purely in memory (tests, worker-invariance checks); otherwise
   // entries persist under dir/ and crashes under dir/crashes/. `read_only` suppresses every
   // write — the mode CI uses to replay a committed corpus without dirtying the checkout.
   explicit Corpus(std::string dir = "", bool read_only = false);
 
-  // Reads every *.repro under dir/ (and dir/crashes/). Unparseable files are reported in
-  // `errors` (one line each) and skipped; returns false only when the directory itself is
-  // unreadable. A missing directory is an empty corpus, not an error (unless read_only).
+  // Reads every *.repro under dir/ (and dir/crashes/). Unreadable files and files whose text
+  // Repro::Decode rejects are reported in `errors` (one line each, naming the file) and
+  // skipped; returns false only when the directory itself is unreadable. A missing directory
+  // is an empty corpus, not an error (unless read_only).
   bool Load(std::vector<std::string>* errors);
 
-  // Adds one entry, deduplicating by content. Returns true when the entry is new. Writes the
-  // file immediately unless in-memory or read-only.
-  bool Add(const std::string& repro);
-  bool AddCrash(const std::string& repro);
+  // Adds one entry, deduplicating by text. Returns true when the entry is new; false for a
+  // duplicate or a text that does not decode. Writes the file immediately unless in-memory or
+  // read-only.
+  bool Add(const std::string& text);
+  bool AddCrash(const std::string& text);
 
-  // Sorted by content (see determinism contract above).
-  const std::vector<std::string>& entries() const { return entries_; }
-  const std::vector<std::string>& crashes() const { return crashes_; }
+  // Sorted by text (see determinism contract above).
+  const std::vector<Entry>& entries() const { return entries_; }
+  const std::vector<Entry>& crashes() const { return crashes_; }
 
   const std::string& dir() const { return dir_; }
   bool read_only() const { return read_only_; }
@@ -50,15 +63,12 @@ class Corpus {
   static std::string FileName(const std::string& text);
 
  private:
-  bool AddTo(const std::string& repro, std::vector<std::string>* list,
-             std::set<std::string>* seen, const std::string& subdir);
+  bool AddTo(const std::string& text, std::vector<Entry>* list, const std::string& subdir);
 
   std::string dir_;
   bool read_only_ = false;
-  std::vector<std::string> entries_;
-  std::vector<std::string> crashes_;
-  std::set<std::string> seen_entries_;
-  std::set<std::string> seen_crashes_;
+  std::vector<Entry> entries_;
+  std::vector<Entry> crashes_;
 };
 
 }  // namespace explore

@@ -19,13 +19,6 @@ namespace explore {
 
 namespace {
 
-std::vector<Decision> TrimTrailingDefaults(std::vector<Decision> decisions) {
-  while (!decisions.empty() && decisions.back() == 0) {
-    decisions.pop_back();
-  }
-  return decisions;
-}
-
 using ProfileClock = std::chrono::steady_clock;
 
 double SecSince(ProfileClock::time_point start) {
@@ -150,12 +143,16 @@ class Explorer::Harness {
   WorkerArena& arena;
 };
 
-ScheduleOutcome Explorer::RunPlan(const Plan& plan, int schedule_index, const TestBody& body,
-                                  WorkerArena& arena, trace::Tracer* capture,
+ScheduleOutcome Explorer::RunPlan(const Repro* replay, int schedule_index,
+                                  const TestBody& body, WorkerArena& arena,
+                                  trace::Tracer* capture,
                                   std::vector<ConsultRecord>* consult_log) const {
-  ReplayPerturber replayer(plan.replay);
-  Harness run(options_.base_config, arena, plan.runtime_seed, plan.fault_plan, PerturbPolicy{},
-              plan.replay_mode ? &replayer : nullptr);
+  const uint64_t runtime_seed =
+      replay != nullptr ? replay->runtime_seed : options_.base_config.seed;
+  const fault::Plan& faults = replay != nullptr ? replay->fault_plan : options_.fault_plan;
+  ReplayPerturber replayer(replay != nullptr ? replay->decisions : std::vector<Decision>());
+  Harness run(options_.base_config, arena, runtime_seed, faults, PerturbPolicy{},
+              replay != nullptr ? &replayer : nullptr);
   if (consult_log != nullptr) {
     run.recorder.EnableConsultLog(&run.rt.tracer());  // the baseline's decision-density sample
   }
@@ -174,8 +171,10 @@ ScheduleOutcome Explorer::RunPlan(const Plan& plan, int schedule_index, const Te
   FillOutcome(run, schedule_index, &outcome);
   // Every outcome carries its repro here, passing or not: the campaign stores the repros of
   // passing replays as corpus entries.
-  outcome.repro = Repro(plan.replay_mode ? replayer.consumed() : run.recorder.decisions(),
-                        plan.runtime_seed, plan.fault_plan);
+  const std::vector<Decision>& decisions =
+      replay != nullptr ? replayer.consumed() : run.recorder.decisions();
+  outcome.repro =
+      Repro{options_.scenario_name, runtime_seed, TrimTrailingDefaults(decisions), faults}.Encode();
   if (consult_log != nullptr) {
     *consult_log = run.recorder.consult_log();
   }
@@ -210,12 +209,6 @@ void Explorer::FillOutcome(Harness& run, int schedule_index, ScheduleOutcome* ou
   out->fired_faults = run.injector.fired();
 }
 
-std::string Explorer::Repro(const std::vector<Decision>& decisions, uint64_t runtime_seed,
-                            const fault::Plan& fault_plan) const {
-  return EncodeRepro(options_.scenario_name, runtime_seed, TrimTrailingDefaults(decisions),
-                     fault_plan.enabled() ? fault_plan.Encode() : std::string());
-}
-
 // How the walk reaches the runs of one group. The walk stands at a node of the group's tree:
 // the group's start (level 0), or a run paused at depths[level - 1].
 class Explorer::GroupCursor {
@@ -241,8 +234,9 @@ class Explorer::GroupCursor {
   void Fill(int schedule_index, ScheduleOutcome* out) {
     explorer_.FillOutcome(run(), schedule_index, out, resume());
     if (out->failed) {
-      out->repro =
-          explorer_.Repro(run().recorder.decisions(), group_.runtime_seed, group_.fault_plan);
+      out->repro = Repro{explorer_.options_.scenario_name, group_.runtime_seed,
+                         TrimTrailingDefaults(run().recorder.decisions()), group_.fault_plan}
+                       .Encode();
     }
   }
   // Leaf 0 of a leaf parent, whose outcome is `out`, can anchor DPOR pruning of its siblings
@@ -572,28 +566,18 @@ ScheduleOutcome Explorer::Minimize(const ScheduleOutcome& outcome, const TestBod
                                    WorkerArena* arena) const {
   WorkerArena local;
   WorkerArena& warm = arena != nullptr ? *arena : local;
-  std::string scenario;
-  uint64_t runtime_seed = 0;
-  std::vector<Decision> decisions;
-  std::string fault_text;
-  if (!DecodeRepro(outcome.repro, &scenario, &runtime_seed, &decisions, &fault_text)) {
+  Repro current;
+  if (!Repro::Decode(outcome.repro, &current)) {
     return outcome;  // shouldn't happen: we produced the string ourselves
   }
-  fault::Plan fault_plan = fault::Plan::Decode(fault_text);
 
   int replays_left = 128;
-  auto still_fails = [&](const std::vector<Decision>& candidate,
-                         const fault::Plan& candidate_faults, ScheduleOutcome* result) {
+  auto still_fails = [&](const Repro& candidate, ScheduleOutcome* result) {
     if (replays_left <= 0) {
       return false;
     }
     --replays_left;
-    Plan plan;
-    plan.runtime_seed = runtime_seed;
-    plan.replay = candidate;
-    plan.replay_mode = true;
-    plan.fault_plan = candidate_faults;
-    ScheduleOutcome attempt = RunPlan(plan, outcome.schedule_index, body, warm);
+    ScheduleOutcome attempt = RunPlan(&candidate, outcome.schedule_index, body, warm);
     if (SameFailure(outcome, attempt)) {
       *result = std::move(attempt);
       return true;
@@ -602,35 +586,34 @@ ScheduleOutcome Explorer::Minimize(const ScheduleOutcome& outcome, const TestBod
   };
 
   ScheduleOutcome best = outcome;
-  std::vector<Decision> current = decisions;
-  fault::Plan current_faults = fault_plan;
 
   // Phase 1: binary-search the shortest failing prefix (defaults past the cut).
   size_t lo = 0;
-  size_t hi = current.size();
+  size_t hi = current.decisions.size();
   while (lo < hi && replays_left > 0) {
     size_t mid = lo + (hi - lo) / 2;
-    std::vector<Decision> prefix(current.begin(), current.begin() + mid);
+    Repro prefix = current;
+    prefix.decisions.resize(mid);
     ScheduleOutcome attempt;
-    if (still_fails(prefix, current_faults, &attempt)) {
+    if (still_fails(prefix, &attempt)) {
       hi = mid;
       best = std::move(attempt);
     } else {
       lo = mid + 1;
     }
   }
-  current.resize(std::min(current.size(), hi));
+  current.decisions.resize(std::min(current.decisions.size(), hi));
 
   // Phase 2: zero individual non-default decisions, last first (late perturbations are the
   // likeliest to be incidental).
-  for (size_t i = current.size(); i-- > 0 && replays_left > 0;) {
-    if (current[i] == 0) {
+  for (size_t i = current.decisions.size(); i-- > 0 && replays_left > 0;) {
+    if (current.decisions[i] == 0) {
       continue;
     }
-    std::vector<Decision> candidate = current;
-    candidate[i] = 0;
+    Repro candidate = current;
+    candidate.decisions[i] = 0;
     ScheduleOutcome attempt;
-    if (still_fails(candidate, current_faults, &attempt)) {
+    if (still_fails(candidate, &attempt)) {
       current = std::move(candidate);
       best = std::move(attempt);
     }
@@ -639,54 +622,45 @@ ScheduleOutcome Explorer::Minimize(const ScheduleOutcome& outcome, const TestBod
   // Phase 3: pin a probabilistic plan down to a script of exactly the faults that fired in the
   // current best run. The injector draws the RNG only at armed sites, so the script reproduces
   // the identical firings — the repro then names its faults instead of hiding them in a seed.
-  if (current_faults.rate > 0 && replays_left > 0) {
-    fault::Plan scripted;
-    scripted.script = best.fired_faults;
+  if (current.fault_plan.rate > 0 && replays_left > 0) {
+    Repro scripted = current;
+    scripted.fault_plan = fault::Plan();
+    scripted.fault_plan.script = best.fired_faults;
     ScheduleOutcome attempt;
-    if (still_fails(current, scripted, &attempt)) {
-      current_faults = std::move(scripted);
+    if (still_fails(scripted, &attempt)) {
+      current = std::move(scripted);
       best = std::move(attempt);
     }
   }
 
   // Phase 4: drop scripted faults one at a time, last first, keeping only the ones the
   // failure actually needs.
-  for (size_t i = current_faults.script.size(); i-- > 0 && replays_left > 0;) {
-    fault::Plan candidate = current_faults;
-    candidate.script.erase(candidate.script.begin() + static_cast<ptrdiff_t>(i));
+  for (size_t i = current.fault_plan.script.size(); i-- > 0 && replays_left > 0;) {
+    Repro candidate = current;
+    candidate.fault_plan.script.erase(candidate.fault_plan.script.begin() +
+                                      static_cast<ptrdiff_t>(i));
     ScheduleOutcome attempt;
-    if (still_fails(current, candidate, &attempt)) {
-      current_faults = std::move(candidate);
+    if (still_fails(candidate, &attempt)) {
+      current = std::move(candidate);
       best = std::move(attempt);
     }
   }
   return best;
 }
 
-ScheduleOutcome Explorer::Replay(const std::string& repro, const TestBody& body,
+ScheduleOutcome Explorer::Replay(const Repro& repro, const TestBody& body,
                                  trace::Tracer* capture, WorkerArena* arena) const {
-  std::string scenario;
-  std::string fault_text;
-  uint64_t runtime_seed = 0;
-  std::vector<Decision> decisions;
-  if (!DecodeRepro(repro, &scenario, &runtime_seed, &decisions, &fault_text)) {
-    throw pcr::UsageError("malformed repro string: " + repro);
-  }
-  // Plan::Decode throws UsageError on a bad field.
-  return Replay(runtime_seed, std::move(decisions), fault::Plan::Decode(fault_text), body,
-                capture, arena);
+  WorkerArena local;
+  return RunPlan(&repro, -1, body, arena != nullptr ? *arena : local, capture);
 }
 
-ScheduleOutcome Explorer::Replay(uint64_t runtime_seed, std::vector<Decision> decisions,
-                                 fault::Plan fault_plan, const TestBody& body,
+ScheduleOutcome Explorer::Replay(const std::string& repro, const TestBody& body,
                                  trace::Tracer* capture, WorkerArena* arena) const {
-  Plan plan;
-  plan.runtime_seed = runtime_seed;
-  plan.replay = std::move(decisions);
-  plan.replay_mode = true;
-  plan.fault_plan = std::move(fault_plan);
-  WorkerArena local;
-  return RunPlan(plan, -1, body, arena != nullptr ? *arena : local, capture);
+  Repro decoded;
+  if (!Repro::Decode(repro, &decoded)) {
+    throw pcr::UsageError("malformed repro string: " + repro);
+  }
+  return Replay(decoded, body, capture, arena);
 }
 
 ExploreResult Explorer::Explore(const TestBody& body) const {
@@ -710,11 +684,9 @@ ExploreResult Explorer::Explore(const TestBody& body) const {
 
   // Schedule 0: the unperturbed baseline. Its horizon seeds PCT change-point placement. It
   // runs on the calling thread, which is pool worker 0.
-  Plan baseline_plan;
-  baseline_plan.runtime_seed = options_.base_config.seed;
-  baseline_plan.fault_plan = options_.fault_plan;  // verbatim: the reference fault run
+  // The options' fault plan runs verbatim: the reference fault run.
   std::vector<ConsultRecord> baseline_log;
-  result.baseline = RunPlan(baseline_plan, 0, body, *arenas[0], nullptr, &baseline_log);
+  result.baseline = RunPlan(nullptr, 0, body, *arenas[0], nullptr, &baseline_log);
   result.profile.baseline_sec = SecSince(total_start);
   result.schedules_run = 1;
   note_hash(result.baseline.trace_hash);

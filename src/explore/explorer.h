@@ -192,18 +192,17 @@ class Explorer {
   // Runs up to options.budget schedules. Deterministic: same options + same body => same result.
   ExploreResult Explore(const TestBody& body) const;
 
-  // Re-executes the schedule described by `repro` (scenario field ignored here). Throws
-  // pcr::UsageError on a malformed repro string. With `capture` non-null, the replayed run's
+  // Re-executes the schedule `repro` describes (its scenario field is ignored here; the
+  // outcome's repro names options().scenario_name). With `capture` non-null, the replayed run's
   // full event stream and symbol table are copied into it (the tracer's prior events are kept;
   // its symbol table is replaced) — the hook pcrcheck uses to export failing schedules. With
   // `arena` non-null the run draws its stacks and trace buffer from it (a fresh local arena
   // otherwise); the outcome is the same either way. Safe to call concurrently on distinct
   // arenas.
-  ScheduleOutcome Replay(const std::string& repro, const TestBody& body,
+  ScheduleOutcome Replay(const Repro& repro, const TestBody& body,
                          trace::Tracer* capture = nullptr, WorkerArena* arena = nullptr) const;
-  // The same, from a repro already decoded (the campaign decodes each input once to route it).
-  ScheduleOutcome Replay(uint64_t runtime_seed, std::vector<Decision> decisions,
-                         fault::Plan fault_plan, const TestBody& body,
+  // The same from a repro string: Repro::Decode, or pcr::UsageError when it is malformed.
+  ScheduleOutcome Replay(const std::string& repro, const TestBody& body,
                          trace::Tracer* capture = nullptr, WorkerArena* arena = nullptr) const;
 
   // Prefix-truncates and zeroes decisions (and shrinks fault plans to the fired script) while
@@ -216,13 +215,6 @@ class Explorer {
   const ExploreOptions& options() const { return options_; }
 
  private:
-  struct Plan {
-    uint64_t runtime_seed = 1;
-    std::vector<Decision> replay;
-    bool replay_mode = false;            // replay `replay`; otherwise record (the baseline)
-    fault::Plan fault_plan;              // installed for the run when enabled()
-  };
-
   // One prefix-grouped work unit: up to prod(fanout) consecutive schedules sharing the
   // segment-1 decision prefix (the policy's seed q0 and change points). The group is a tree:
   // crossing consultation depths[k] fires segment level k+1, and a node at level l has
@@ -248,7 +240,9 @@ class Explorer {
   class CheckpointCursor;
   class FromZeroCursor;
 
-  ScheduleOutcome RunPlan(const Plan& plan, int schedule_index, const TestBody& body,
+  // One run from zero: it replays `replay`, or with `replay` null records the baseline (the
+  // options' seed and fault plan, no perturbation). The outcome carries its repro.
+  ScheduleOutcome RunPlan(const Repro* replay, int schedule_index, const TestBody& body,
                           WorkerArena& arena, trace::Tracer* capture = nullptr,
                           std::vector<ConsultRecord>* consult_log = nullptr) const;
   // Fills `outcomes` (size group.members, flat order) for one group. It walks the group with
@@ -270,16 +264,13 @@ class Explorer {
   static void WalkGroup(const GroupPlan& group, GroupCursor& cursor,
                         std::vector<ScheduleOutcome>* outcomes, ExploreProfile& profile);
   // Shared post-run analysis: one TraceFold pass for detector, trace hash and coverage, then
-  // the failures; the caller adds the repro where one is read. The fold is the arena's, reset
-  // for the run, or with `resume` (checkpointed groups fold the shared prefix once) assigned
-  // from that fold and fed the suffix only — FNV continuation and the detector's left fold are
-  // value-identical to the full pass, which the equivalence suite checks against from-zero
-  // mode.
+  // the failures; the caller adds the repro (its decisions with trailing defaults trimmed)
+  // where one is read. The fold is the arena's, reset for the run, or with `resume`
+  // (checkpointed groups fold the shared prefix once) assigned from that fold and fed the
+  // suffix only — FNV continuation and the detector's left fold are value-identical to the
+  // full pass, which the equivalence suite checks against from-zero mode.
   void FillOutcome(Harness& run, int schedule_index, ScheduleOutcome* out,
                    const TraceFold* resume = nullptr) const;
-  // The repro string of a run: its decision stream with trailing defaults trimmed.
-  std::string Repro(const std::vector<Decision>& decisions, uint64_t runtime_seed,
-                    const fault::Plan& fault_plan) const;
   static bool SameFailure(const ScheduleOutcome& a, const ScheduleOutcome& b);
 
   ExploreOptions options_;

@@ -1,6 +1,9 @@
 #include "src/explore/repro.h"
 
 #include <cctype>
+#include <utility>
+
+#include "src/pcr/errors.h"
 
 namespace explore {
 
@@ -24,13 +27,19 @@ int HexValue(char c) {
 
 }  // namespace
 
-std::string EncodeRepro(const std::string& scenario, uint64_t runtime_seed,
-                        const std::vector<Decision>& decisions,
-                        const std::string& fault_plan) {
-  // One encode per explored schedule: build in place with a single reservation instead of
+std::vector<Decision> TrimTrailingDefaults(std::vector<Decision> decisions) {
+  while (!decisions.empty() && decisions.back() == 0) {
+    decisions.pop_back();
+  }
+  return decisions;
+}
+
+std::string Repro::Encode() const {
+  const std::string fault_text = fault_plan.enabled() ? fault_plan.Encode() : std::string();
+  // One encode per replayed schedule: build in place with a single reservation instead of
   // chaining temporary strings (the worst case is one hex digit per decision).
   std::string out;
-  out.reserve(sizeof(kMagic) + scenario.size() + 24 + decisions.size() + fault_plan.size() + 2);
+  out.reserve(sizeof(kMagic) + scenario.size() + 24 + decisions.size() + fault_text.size() + 2);
   out += kMagic;
   out += ':';
   out += scenario;
@@ -71,26 +80,25 @@ std::string EncodeRepro(const std::string& scenario, uint64_t runtime_seed,
     }
     i += run;
   }
-  if (!fault_plan.empty()) {
+  if (!fault_text.empty()) {
     out += ':';
-    out += fault_plan;
+    out += fault_text;
   }
   return out;
 }
 
-bool DecodeRepro(const std::string& repro, std::string* scenario, uint64_t* runtime_seed,
-                 std::vector<Decision>* decisions, std::string* fault_plan) {
-  size_t p1 = repro.find(':');
-  if (p1 == std::string::npos || repro.substr(0, p1) != kMagic) {
+bool Repro::Decode(const std::string& text, Repro* out) {
+  size_t p1 = text.find(':');
+  if (p1 == std::string::npos || text.substr(0, p1) != kMagic) {
     return false;
   }
-  size_t p2 = repro.find(':', p1 + 1);
-  size_t p3 = p2 == std::string::npos ? std::string::npos : repro.find(':', p2 + 1);
+  size_t p2 = text.find(':', p1 + 1);
+  size_t p3 = p2 == std::string::npos ? std::string::npos : text.find(':', p2 + 1);
   if (p3 == std::string::npos) {
     return false;
   }
-  std::string name = repro.substr(p1 + 1, p2 - p1 - 1);
-  std::string seed_str = repro.substr(p2 + 1, p3 - p2 - 1);
+  std::string name = text.substr(p1 + 1, p2 - p1 - 1);
+  std::string seed_str = text.substr(p2 + 1, p3 - p2 - 1);
   if (name.empty() || seed_str.empty()) {
     return false;
   }
@@ -102,32 +110,32 @@ bool DecodeRepro(const std::string& repro, std::string* scenario, uint64_t* runt
     seed = seed * 10 + static_cast<uint64_t>(c - '0');
   }
   // The decision field ends at the optional fifth colon; everything after it is the fault
-  // plan, passed through verbatim (fault::Plan::Decode owns that grammar).
-  size_t p4 = repro.find(':', p3 + 1);
-  size_t decisions_end = p4 == std::string::npos ? repro.size() : p4;
+  // plan (fault::Plan::Decode owns that grammar).
+  size_t p4 = text.find(':', p3 + 1);
+  size_t decisions_end = p4 == std::string::npos ? text.size() : p4;
   std::string fault_text =
-      p4 == std::string::npos ? std::string() : repro.substr(p4 + 1);
+      p4 == std::string::npos ? std::string() : text.substr(p4 + 1);
   if (p4 != std::string::npos && fault_text.empty()) {
     return false;  // a trailing ':' with nothing after it is malformed, not "no faults"
   }
   std::vector<Decision> parsed;
   size_t i = p3 + 1;
   while (i < decisions_end) {
-    int value = HexValue(repro[i]);
+    int value = HexValue(text[i]);
     if (value < 0) {
       return false;
     }
     ++i;
     size_t run = 1;
-    if (i < decisions_end && repro[i] == 'r') {
+    if (i < decisions_end && text[i] == 'r') {
       ++i;
       size_t start = i;
       run = 0;
-      while (i < decisions_end && std::isdigit(static_cast<unsigned char>(repro[i]))) {
-        run = run * 10 + static_cast<size_t>(repro[i] - '0');
+      while (i < decisions_end && std::isdigit(static_cast<unsigned char>(text[i]))) {
+        run = run * 10 + static_cast<size_t>(text[i] - '0');
         ++i;
       }
-      if (i == start || run == 0 || i >= decisions_end || repro[i] != 'x') {
+      if (i == start || run == 0 || i >= decisions_end || text[i] != 'x') {
         return false;
       }
       if (i - start > 9) {
@@ -140,12 +148,13 @@ bool DecodeRepro(const std::string& repro, std::string* scenario, uint64_t* runt
     }
     parsed.insert(parsed.end(), run, static_cast<Decision>(value));
   }
-  *scenario = std::move(name);
-  *runtime_seed = seed;
-  *decisions = std::move(parsed);
-  if (fault_plan != nullptr) {
-    *fault_plan = std::move(fault_text);
+  fault::Plan plan;
+  try {
+    plan = fault::Plan::Decode(fault_text);
+  } catch (const pcr::UsageError&) {
+    return false;
   }
+  *out = Repro{std::move(name), seed, std::move(parsed), std::move(plan)};
   return true;
 }
 

@@ -2,7 +2,7 @@
 // through disk, the mutator is deterministic, coverage deduplication makes replay-only passes
 // converge, minimized crash entries keep failing, corpus evolution is worker-count invariant,
 // a warm WorkerArena replays like a fresh one, a coverage run's trace hash is its last prefix
-// hash, the trace hash is byte-wise FNV-1a exactly, and the repro codec's 4-field/5-field
+// hash, the trace hash is byte-wise FNV-1a exactly, and explore::Repro's 4-field/5-field
 // compatibility holds under fuzzed input.
 
 #include <gtest/gtest.h>
@@ -48,6 +48,15 @@ std::string FreshDir(const std::string& name) {
   return dir.string();
 }
 
+// The texts of a corpus list, in its order.
+std::vector<std::string> Texts(const std::vector<explore::Corpus::Entry>& list) {
+  std::vector<std::string> texts;
+  for (const explore::Corpus::Entry& entry : list) {
+    texts.push_back(entry.text);
+  }
+  return texts;
+}
+
 explore::CampaignOptions FastOptions() {
   explore::CampaignOptions options;
   options.rounds = 4;
@@ -84,8 +93,14 @@ TEST(CorpusTest, RoundTripsEntriesAndCrashesThroughDisk) {
   EXPECT_TRUE(errors.empty()) << errors.front();
   std::vector<std::string> expected = {a, b};
   std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(reloaded.entries(), expected);
-  EXPECT_EQ(reloaded.crashes(), std::vector<std::string>{crash});
+  EXPECT_EQ(Texts(reloaded.entries()), expected);
+  EXPECT_EQ(Texts(reloaded.crashes()), std::vector<std::string>{crash});
+  // Each entry keeps the schedule its text decodes to.
+  for (const explore::Corpus::Entry& entry : reloaded.entries()) {
+    explore::Repro decoded;
+    ASSERT_TRUE(explore::Repro::Decode(entry.text, &decoded)) << entry.text;
+    EXPECT_EQ(entry.input, decoded) << entry.text;
+  }
 }
 
 TEST(CorpusTest, ReportsMalformedEntriesWithoutDying) {
@@ -102,6 +117,26 @@ TEST(CorpusTest, ReportsMalformedEntriesWithoutDying) {
   EXPECT_TRUE(corpus.entries().empty());
 }
 
+// The strict decoder rejects a malformed fault-plan field when the corpus loads, naming the
+// file, instead of admitting the entry and failing its replay later.
+TEST(CorpusTest, MalformedFaultPlanIsRejectedAtLoad) {
+  std::string dir = FreshDir("corpus_bad_plan");
+  const std::string bad = "pcr1:missing_notify:1::f9,bogus";
+  const std::string good = "pcr1:missing_notify:1:";
+  for (const std::string& text : {bad, good}) {
+    std::ofstream(fs::path(dir) / explore::Corpus::FileName(text)) << text << "\n";
+  }
+  explore::Corpus corpus(dir);
+  std::vector<std::string> errors;
+  EXPECT_TRUE(corpus.Load(&errors)) << "bad entries are reported, not fatal";
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_NE(errors[0].find("malformed repro in"), std::string::npos) << errors[0];
+  EXPECT_NE(errors[0].find(explore::Corpus::FileName(bad)), std::string::npos) << errors[0];
+  EXPECT_EQ(Texts(corpus.entries()), std::vector<std::string>{good});
+  EXPECT_FALSE(corpus.Add(bad)) << "Add applies the same decoder";
+  EXPECT_EQ(corpus.entries().size(), 1u);
+}
+
 TEST(CorpusTest, ReadOnlyMissingDirectoryIsAnError) {
   explore::Corpus corpus(FreshDir("corpus_ro") + "/never_created", /*read_only=*/true);
   std::vector<std::string> errors;
@@ -113,20 +148,20 @@ TEST(CorpusTest, ReadOnlyMissingDirectoryIsAnError) {
 // --- mutator -----------------------------------------------------------------------------------
 
 TEST(MutatorTest, SameSeedProducesIdenticalOffspringChains) {
-  explore::CampaignInput parent;
-  ASSERT_TRUE(explore::CampaignInput::Decode("pcr1:buggy_monitor:7:0r12x10r3x2", &parent));
+  explore::Repro parent;
+  ASSERT_TRUE(explore::Repro::Decode("pcr1:buggy_monitor:7:0r12x10r3x2", &parent));
 
   explore::Mutator first(42);
   explore::Mutator second(42);
-  explore::CampaignInput lhs = parent;
-  explore::CampaignInput rhs = parent;
+  explore::Repro lhs = parent;
+  explore::Repro rhs = parent;
   for (int i = 0; i < 64; ++i) {
     lhs = first.Mutate(lhs, &parent);
     rhs = second.Mutate(rhs, &parent);
     ASSERT_EQ(lhs.Encode(), rhs.Encode()) << "diverged at step " << i;
   }
   explore::Mutator other(43);
-  explore::CampaignInput diverged = parent;
+  explore::Repro diverged = parent;
   bool any_difference = false;
   for (int i = 0; i < 64 && !any_difference; ++i) {
     diverged = other.Mutate(diverged, &parent);
@@ -136,16 +171,16 @@ TEST(MutatorTest, SameSeedProducesIdenticalOffspringChains) {
 }
 
 TEST(MutatorTest, OffspringAlwaysReEncodeAndRespectTheDecisionCap) {
-  explore::CampaignInput parent;
+  explore::Repro parent;
   parent.scenario = "weakmem_race";
   parent.runtime_seed = 3;
   explore::Mutator mutator(7, /*max_decisions=*/128);
-  explore::CampaignInput current = parent;
+  explore::Repro current = parent;
   for (int i = 0; i < 500; ++i) {
     current = mutator.Mutate(current, i % 3 == 0 ? &parent : nullptr);
     EXPECT_LE(current.decisions.size(), 128u);
-    explore::CampaignInput decoded;
-    ASSERT_TRUE(explore::CampaignInput::Decode(current.Encode(), &decoded)) << current.Encode();
+    explore::Repro decoded;
+    ASSERT_TRUE(explore::Repro::Decode(current.Encode(), &decoded)) << current.Encode();
     // Values above 15 cannot survive the hex encoding; the mutator must not emit them.
     EXPECT_TRUE(decoded == current) << current.Encode();
   }
@@ -213,15 +248,13 @@ TEST(CampaignTest, CrashEntriesStillFailOnDirectReplay) {
   ASSERT_TRUE(campaign.Run().ok());
   ASSERT_FALSE(campaign.corpus().crashes().empty());
 
-  for (const std::string& crash : campaign.corpus().crashes()) {
-    explore::CampaignInput input;
-    ASSERT_TRUE(explore::CampaignInput::Decode(crash, &input)) << crash;
-    const explore::BugScenario* scenario = explore::FindScenario(input.scenario);
-    ASSERT_NE(scenario, nullptr) << crash;
+  for (const explore::Corpus::Entry& crash : campaign.corpus().crashes()) {
+    const explore::BugScenario* scenario = explore::FindScenario(crash.input.scenario);
+    ASSERT_NE(scenario, nullptr) << crash.text;
     explore::ExploreOptions opts = scenario->options;
     explore::Explorer explorer(opts);
-    explore::ScheduleOutcome outcome = explorer.Replay(crash, scenario->body);
-    EXPECT_TRUE(outcome.failed) << "minimized crash entry no longer fails: " << crash;
+    explore::ScheduleOutcome outcome = explorer.Replay(crash.text, scenario->body);
+    EXPECT_TRUE(outcome.failed) << "minimized crash entry no longer fails: " << crash.text;
   }
 }
 
@@ -236,7 +269,7 @@ TEST(CampaignTest, WorkerCountDoesNotChangeCorpusEvolution) {
     campaign.Run();
     return std::tuple<std::vector<std::string>, std::vector<std::string>, size_t,
                       std::vector<std::string>, int64_t>(
-        campaign.corpus().entries(), campaign.corpus().crashes(),
+        Texts(campaign.corpus().entries()), Texts(campaign.corpus().crashes()),
         campaign.status().coverage_points, campaign.status().failure_keys,
         campaign.status().inputs_run);
   };
@@ -282,14 +315,14 @@ explore::Explorer CampaignExplorer(const explore::BugScenario& scenario) {
 
 // Replays `repro` on its scenario's campaign explorer, through `arena` when non-null.
 explore::ScheduleOutcome CampaignReplay(const std::string& repro, explore::WorkerArena* arena) {
-  explore::CampaignInput input;
-  EXPECT_TRUE(explore::CampaignInput::Decode(repro, &input)) << repro;
+  explore::Repro input;
+  EXPECT_TRUE(explore::Repro::Decode(repro, &input)) << repro;
   const explore::BugScenario* scenario = explore::FindScenario(input.scenario);
   EXPECT_NE(scenario, nullptr) << repro;
   if (scenario == nullptr) {
     return {};
   }
-  return CampaignExplorer(*scenario).Replay(repro, scenario->body, nullptr, arena);
+  return CampaignExplorer(*scenario).Replay(input, scenario->body, nullptr, arena);
 }
 
 void ExpectSameOutcome(const explore::ScheduleOutcome& fresh,
@@ -316,8 +349,10 @@ TEST(WorkerArenaTest, WarmArenaReplaysTheCommittedCorpusLikeAFreshOne) {
   std::vector<std::string> errors;
   ASSERT_TRUE(corpus.Load(&errors));
   ASSERT_TRUE(errors.empty()) << errors.front();
-  std::vector<std::string> inputs = corpus.entries();
-  inputs.insert(inputs.end(), corpus.crashes().begin(), corpus.crashes().end());
+  std::vector<std::string> inputs = Texts(corpus.entries());
+  for (const std::string& crash : Texts(corpus.crashes())) {
+    inputs.push_back(crash);
+  }
   ASSERT_FALSE(inputs.empty());
 
   const std::string death = "pcr1:buggy_monitor:1::f1,rate=0.05,sites=thread-death,seed=3";
@@ -473,69 +508,58 @@ TEST(TraceHashTest, EventHashIsByteWiseFnvOverItsSixWords) {
 // --- repro 4-field / 5-field compatibility ------------------------------------------------------
 
 TEST(ReproCompatTest, FourFieldFormStaysValidAndMeansNoFaults) {
-  std::string scenario;
-  uint64_t seed = 0;
-  std::vector<explore::Decision> decisions;
-  std::string fault_text = "sentinel";
-  ASSERT_TRUE(
-      explore::DecodeRepro("pcr1:buggy_monitor:7:0r5x1", &scenario, &seed, &decisions, &fault_text));
-  EXPECT_EQ(fault_text, "") << "absent fifth field must decode as 'no faults'";
-  EXPECT_EQ(decisions.size(), 6u);
+  explore::Repro repro;
+  repro.fault_plan = fault::Plan::Decode("f1,notify-lost@2");  // overwritten by the decode
+  ASSERT_TRUE(explore::Repro::Decode("pcr1:buggy_monitor:7:0r5x1", &repro));
+  EXPECT_EQ(repro.fault_plan, fault::Plan()) << "absent fifth field must decode as 'no faults'";
+  EXPECT_EQ(repro.decisions.size(), 6u);
 }
 
 TEST(ReproCompatTest, EmptyDecisionFieldWithFaultPlanParses) {
-  explore::CampaignInput input;
-  ASSERT_TRUE(explore::CampaignInput::Decode("pcr1:weakmem_race:3::f1,notify-lost@2", &input));
+  explore::Repro input;
+  ASSERT_TRUE(explore::Repro::Decode("pcr1:weakmem_race:3::f1,notify-lost@2", &input));
   EXPECT_TRUE(input.decisions.empty());
   EXPECT_TRUE(input.fault_plan.enabled());
 }
 
 TEST(ReproCompatTest, TrailingDelimiterIsRejectedNotTreatedAsEmptyPlan) {
-  std::string scenario;
-  uint64_t seed = 0;
-  std::vector<explore::Decision> decisions;
-  EXPECT_FALSE(explore::DecodeRepro("pcr1:x:1:0r5x1:", &scenario, &seed, &decisions));
-  explore::CampaignInput input;
-  EXPECT_FALSE(explore::CampaignInput::Decode("pcr1:x:1:0r5x1:", &input));
+  explore::Repro input;
+  EXPECT_FALSE(explore::Repro::Decode("pcr1:x:1:0r5x1:", &input));
 }
 
 TEST(ReproCompatTest, OversizedInputsAreRejectedNotAllocated) {
-  std::string scenario;
-  uint64_t seed = 0;
-  std::vector<explore::Decision> decisions;
+  explore::Repro input;
   // Run lengths: just-over-cap, over-cap in aggregate, and absurd digit counts.
-  EXPECT_FALSE(explore::DecodeRepro("pcr1:x:1:0r4194305x", &scenario, &seed, &decisions));
-  EXPECT_FALSE(explore::DecodeRepro("pcr1:x:1:0r4194304x1", &scenario, &seed, &decisions));
-  EXPECT_FALSE(explore::DecodeRepro("pcr1:x:1:0r999999999999999999x", &scenario, &seed,
-                                    &decisions));
-  EXPECT_TRUE(explore::DecodeRepro("pcr1:x:1:0r4194304x", &scenario, &seed, &decisions))
+  EXPECT_FALSE(explore::Repro::Decode("pcr1:x:1:0r4194305x", &input));
+  EXPECT_FALSE(explore::Repro::Decode("pcr1:x:1:0r4194304x1", &input));
+  EXPECT_FALSE(explore::Repro::Decode("pcr1:x:1:0r999999999999999999x", &input));
+  EXPECT_TRUE(explore::Repro::Decode("pcr1:x:1:0r4194304x", &input))
       << "exactly kMaxReproDecisions is still legal";
-  EXPECT_EQ(decisions.size(), explore::kMaxReproDecisions);
+  EXPECT_EQ(input.decisions.size(), explore::kMaxReproDecisions);
 
   // Oversized fault plans: Plan::Decode refuses scripts past kMaxPlanScriptEntries, and
-  // CampaignInput::Decode turns that refusal into a clean false.
+  // Repro::Decode turns that refusal into a clean false.
   std::string plan = "f1";
   for (size_t i = 0; i < fault::kMaxPlanScriptEntries + 1; ++i) {
     plan += ",notify-lost@" + std::to_string(i);
   }
   EXPECT_THROW((void)fault::Plan::Decode(plan), pcr::UsageError);
-  explore::CampaignInput input;
-  EXPECT_FALSE(explore::CampaignInput::Decode("pcr1:x:1:0:" + plan, &input));
+  EXPECT_FALSE(explore::Repro::Decode("pcr1:x:1:0:" + plan, &input));
 }
 
 TEST(ReproCompatTest, MutatorFuzzedInputsRoundTripAndCorruptionsNeverThrow) {
-  explore::CampaignInput parent;
+  explore::Repro parent;
   ASSERT_TRUE(
-      explore::CampaignInput::Decode("pcr1:buggy_monitor:7:0r12x10r3x2:f1,notify-lost@2", &parent));
+      explore::Repro::Decode("pcr1:buggy_monitor:7:0r12x10r3x2:f1,notify-lost@2", &parent));
   explore::Mutator mutator(2026);
   std::mt19937_64 corrupt_rng(99);
-  explore::CampaignInput current = parent;
+  explore::Repro current = parent;
   int decoded_ok = 0;
   for (int i = 0; i < 1000; ++i) {
     current = mutator.Mutate(current, &parent);
     std::string repro = current.Encode();
-    explore::CampaignInput decoded;
-    ASSERT_TRUE(explore::CampaignInput::Decode(repro, &decoded)) << repro;
+    explore::Repro decoded;
+    ASSERT_TRUE(explore::Repro::Decode(repro, &decoded)) << repro;
     ASSERT_TRUE(decoded == current) << repro;
     ++decoded_ok;
     // Corrupt one byte: decode must return true or false, never throw or crash.
@@ -543,8 +567,8 @@ TEST(ReproCompatTest, MutatorFuzzedInputsRoundTripAndCorruptionsNeverThrow) {
       std::string mangled = repro;
       mangled[corrupt_rng() % mangled.size()] =
           static_cast<char>(' ' + corrupt_rng() % 95);
-      explore::CampaignInput scratch;
-      (void)explore::CampaignInput::Decode(mangled, &scratch);
+      explore::Repro scratch;
+      (void)explore::Repro::Decode(mangled, &scratch);
     }
   }
   EXPECT_EQ(decoded_ok, 1000);

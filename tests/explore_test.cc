@@ -15,6 +15,7 @@
 #include "src/explore/perturbers.h"
 #include "src/explore/repro.h"
 #include "src/explore/scenarios.h"
+#include "src/fault/fault.h"
 #include "src/pcr/runtime.h"
 
 namespace {
@@ -100,14 +101,12 @@ TEST(ExploreTest, MinimizedReproStillFailsAndIsShort) {
   explore::ExploreResult result = explorer.Explore(scenario.body);
   ASSERT_FALSE(result.failures.empty());
 
-  std::string name;
-  uint64_t seed = 0;
-  std::vector<explore::Decision> decisions;
-  ASSERT_TRUE(explore::DecodeRepro(result.failures[0].repro, &name, &seed, &decisions));
-  EXPECT_EQ(name, "buggy_monitor");
+  explore::Repro repro;
+  ASSERT_TRUE(explore::Repro::Decode(result.failures[0].repro, &repro));
+  EXPECT_EQ(repro.scenario, "buggy_monitor");
   // Minimization truncated the stream to the failing prefix; the bug in this scenario needs
   // only a handful of perturbations, so the repro should be far below the budgeted run length.
-  EXPECT_LT(decisions.size(), 256u);
+  EXPECT_LT(repro.decisions.size(), 256u);
   explore::ScheduleOutcome replay = explorer.Replay(result.failures[0].repro, scenario.body);
   EXPECT_TRUE(replay.failed);
 }
@@ -177,25 +176,43 @@ TEST(ReproTest, RoundTripsRunLengthEncodedStreams) {
   for (int i = 0; i < 7; ++i) {
     decisions.push_back(3);
   }
-  std::string repro = explore::EncodeRepro("buggy_monitor", 7, decisions);
+  std::string repro = explore::Repro{"buggy_monitor", 7, decisions, {}}.Encode();
 
-  std::string scenario;
-  uint64_t seed = 0;
-  std::vector<explore::Decision> decoded;
-  ASSERT_TRUE(explore::DecodeRepro(repro, &scenario, &seed, &decoded));
-  EXPECT_EQ(scenario, "buggy_monitor");
-  EXPECT_EQ(seed, 7u);
-  EXPECT_EQ(decoded, decisions);
+  explore::Repro decoded;
+  ASSERT_TRUE(explore::Repro::Decode(repro, &decoded));
+  EXPECT_EQ(decoded.scenario, "buggy_monitor");
+  EXPECT_EQ(decoded.runtime_seed, 7u);
+  EXPECT_EQ(decoded.decisions, decisions);
 }
 
 TEST(ReproTest, RejectsMalformedStrings) {
-  std::string scenario;
-  uint64_t seed = 0;
-  std::vector<explore::Decision> decisions;
+  explore::Repro decoded;
   for (const char* bad : {"", "pcr2:x:1:", "pcr1:x:notanumber:", "pcr1:x:1:0r5", "pcr1:x:1:zz",
-                          "pcr1:missing-fields"}) {
-    EXPECT_FALSE(explore::DecodeRepro(bad, &scenario, &seed, &decisions)) << bad;
+                          "pcr1:missing-fields", "pcr1:x:1:01:garbage", "pcr1:x:1:01:f1,bogus"}) {
+    EXPECT_FALSE(explore::Repro::Decode(bad, &decoded)) << bad;
   }
+}
+
+// A rejected string, whichever field fails, leaves the output as it was.
+TEST(ReproTest, FailedDecodeLeavesTheOutputUntouched) {
+  const explore::Repro before{"kept", 9, {1, 0, 2}, fault::Plan::Decode("f1,notify-lost@2")};
+  for (const char* bad : {"pcr1:x:1:0r5", "pcr1:x:1:01:garbage", "pcr1:x:1:01:f1,bogus"}) {
+    explore::Repro out = before;
+    EXPECT_FALSE(explore::Repro::Decode(bad, &out)) << bad;
+    EXPECT_EQ(out, before) << bad;
+  }
+}
+
+// A disabled plan is "no faults" whatever its other fields hold: no fifth field.
+TEST(ReproTest, DisabledPlanWritesNoFifthField) {
+  explore::Repro repro{"scn", 3, {0, 1}, {}};
+  repro.fault_plan.seed = 5;       // no rate, no script
+  repro.fault_plan.rate = 0.5;     // a rate over no site is disabled too
+  ASSERT_FALSE(repro.fault_plan.enabled());
+  EXPECT_EQ(repro.Encode(), "pcr1:scn:3:01");
+  repro.fault_plan.site_mask = fault::SiteBit(fault::FaultSite::kNotifyLost);
+  ASSERT_TRUE(repro.fault_plan.enabled());
+  EXPECT_EQ(repro.Encode(), "pcr1:scn:3:01:f1,seed=5,rate=0.5,sites=notify-lost");
 }
 
 TEST(ScenarioRegistryTest, ExampleWorkloadsRegisterOnceAndReplayDeterministically) {
@@ -209,7 +226,7 @@ TEST(ScenarioRegistryTest, ExampleWorkloadsRegisterOnceAndReplayDeterministicall
   EXPECT_FALSE(s->expect_bug);
 
   explore::Explorer explorer(s->options);
-  std::string repro = explore::EncodeRepro(s->name, s->options.base_config.seed, {});
+  std::string repro = explore::Repro{s->name, s->options.base_config.seed, {}, {}}.Encode();
   explore::ScheduleOutcome first = explorer.Replay(repro, s->body);
   explore::ScheduleOutcome second = explorer.Replay(repro, s->body);
   EXPECT_FALSE(first.failed);

@@ -928,25 +928,21 @@ TEST(XFaultTest, XlGiveupThenRecoveryStaysConsistentAndDeliversOnce) {
 // ---------------------------------------------------------------------------
 
 TEST(FaultReproTest, FifthFieldRoundTripsAndFourFieldStringsStillParse) {
-  std::vector<explore::Decision> decisions = {0, 0, 1, 0};
-  std::string repro = explore::EncodeRepro("scn", 7, decisions, "f1,notify-lost@2");
-  EXPECT_EQ(repro, "pcr1:scn:7:0r2x10:f1,notify-lost@2");
+  const explore::Repro repro{"scn", 7, {0, 0, 1, 0}, fault::Plan::Decode("f1,notify-lost@2")};
+  EXPECT_EQ(repro.Encode(), "pcr1:scn:7:0r2x10:f1,notify-lost@2");
 
-  std::string scenario;
-  uint64_t seed = 0;
-  std::vector<explore::Decision> parsed;
-  std::string fault_text;
-  ASSERT_TRUE(explore::DecodeRepro(repro, &scenario, &seed, &parsed, &fault_text));
-  EXPECT_EQ(scenario, "scn");
-  EXPECT_EQ(seed, 7u);
-  EXPECT_EQ(parsed, decisions);
-  EXPECT_EQ(fault_text, "f1,notify-lost@2");
+  explore::Repro parsed;
+  ASSERT_TRUE(explore::Repro::Decode(repro.Encode(), &parsed));
+  EXPECT_EQ(parsed.scenario, "scn");
+  EXPECT_EQ(parsed.runtime_seed, 7u);
+  EXPECT_EQ(parsed.decisions, repro.decisions);
+  EXPECT_EQ(parsed.fault_plan.Encode(), "f1,notify-lost@2");
 
   // Four-field strings (pre-fault repros) parse with an empty fault plan.
-  ASSERT_TRUE(explore::DecodeRepro("pcr1:scn:7:01", &scenario, &seed, &parsed, &fault_text));
-  EXPECT_TRUE(fault_text.empty());
+  ASSERT_TRUE(explore::Repro::Decode("pcr1:scn:7:01", &parsed));
+  EXPECT_FALSE(parsed.fault_plan.enabled());
   // A fifth colon with nothing after it is malformed, not "no faults".
-  EXPECT_FALSE(explore::DecodeRepro("pcr1:scn:7:01:", &scenario, &seed, &parsed, &fault_text));
+  EXPECT_FALSE(explore::Repro::Decode("pcr1:scn:7:01:", &parsed));
 }
 
 // A body that fails exactly when a notify is lost: the consumer's timed wait expires without

@@ -383,21 +383,20 @@ int main(int argc, char** argv) {
   }
 
   if (!args.replay.empty()) {
-    std::string name;
-    uint64_t seed = 0;
-    std::vector<explore::Decision> decisions;
-    if (!explore::DecodeRepro(args.replay, &name, &seed, &decisions)) {
+    explore::Repro repro;
+    if (!explore::Repro::Decode(args.replay, &repro)) {
       std::fprintf(stderr, "pcrcheck: malformed repro string\n");
       return 2;
     }
-    const explore::BugScenario* scenario = explore::FindScenario(name);
+    const explore::BugScenario* scenario = explore::FindScenario(repro.scenario);
     if (scenario == nullptr) {
-      std::fprintf(stderr, "pcrcheck: repro names unknown scenario '%s'\n", name.c_str());
+      std::fprintf(stderr, "pcrcheck: repro names unknown scenario '%s'\n",
+                   repro.scenario.c_str());
       return 2;
     }
     explore::Explorer explorer(scenario->options);
-    explore::ScheduleOutcome outcome = explorer.Replay(args.replay, scenario->body);
-    std::printf("replayed %s: hash %016llx, %s\n", name.c_str(),
+    explore::ScheduleOutcome outcome = explorer.Replay(repro, scenario->body);
+    std::printf("replayed %s: hash %016llx, %s\n", repro.scenario.c_str(),
                 static_cast<unsigned long long>(outcome.trace_hash),
                 outcome.failed ? "FAILED" : "passed");
     for (const std::string& message : outcome.failures) {
