@@ -7,7 +7,9 @@
 #   sh tools/behaviour_lock.sh BUILD_DIR tests/behaviour.lock     # check (exit 1 on drift)
 #
 # Contents: every `pcrsim --list` scenario at seeds 1 and 2 (summary row + cksum of the saved
-# trace), the five --load-scenario runs (percentiles + trace hash), `pcrcheck --all
+# trace), the `pcrsim --metrics-json` export of three runs (keyboard; gvx-scroll, with
+# contended monitors; keyboard under a fault plan with the watchdog), the five
+# --load-scenario runs (percentiles + trace hash), `pcrcheck --all
 # --workers=1` (verdicts, repros, replay hashes), the explorer's boundary and pruning counters
 # from `pcrcheck --profile` (--all, then every scenario at --budget=2000 with its repros),
 # bench_service_load's whole table, and a
@@ -53,6 +55,14 @@ campaign() {
   (cd "$dir" && find . -type f | LC_ALL=C sort)
 }
 
+# Prints the JSON that `pcrsim --seed 1 --duration $DURATION --metrics-json` writes for the run
+# its arguments name, after a line naming them.
+metrics() {
+  run "$PCRSIM" --seed 1 --duration "$DURATION" --metrics-json="$TMP/metrics.json" "$@"
+  echo "  $*"
+  cat "$TMP/metrics.json"
+}
+
 generate() {
   echo "# pcrsim scenarios, --duration $DURATION: summary row, cksum of --save-trace"
   run "$PCRSIM" --list
@@ -64,6 +74,11 @@ generate() {
       echo "  $slug seed=$seed trace cksum=$(cksum < "$TMP/trace")"
     done
   done
+  echo "# pcrsim --seed 1 --duration $DURATION --metrics-json: the registry snapshot"
+  metrics --scenario keyboard
+  metrics --scenario gvx-scroll
+  metrics --scenario keyboard --watchdog \
+    --fault-plan='f1,rate=0.05,sites=notify-lost+notify-dup+timer-skew,seed=3'
   echo "# pcrsim --load-scenario, --duration $DURATION"
   for slug in steady overload admitted brownout no-admission; do
     run "$PCRSIM" --load-scenario="$slug" --duration "$DURATION"
