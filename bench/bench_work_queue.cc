@@ -40,7 +40,7 @@ Result RunForkPerTask(pcr::Usec task_cost) {
   rt.RunUntilQuiescent(300 * pcr::kUsecPerSec);
   Result result;
   result.completion_us = rt.now();
-  result.forks = rt.scheduler().total_forks();
+  result.forks = rt.scheduler().thread_count();
   result.peak_stack = rt.scheduler().peak_stack_bytes_reserved();
   rt.Shutdown();
   return result;
@@ -65,7 +65,7 @@ Result RunWorkQueue(pcr::Usec task_cost) {
   Result result;
   result.completion_us = rt.now();  // approximate: quiescence never comes (eternal workers)
   // Measure actual completion via the drain point instead: rerun bookkeeping below.
-  result.forks = rt.scheduler().total_forks();
+  result.forks = rt.scheduler().thread_count();
   result.peak_stack = rt.scheduler().peak_stack_bytes_reserved();
   rt.Shutdown();
   return result;

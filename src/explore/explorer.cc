@@ -79,7 +79,7 @@ Explorer::Explorer(ExploreOptions options) : options_(std::move(options)) {}
 
 // One explored Runtime, set up alike for every run: the Config with the run's seed on the
 // arena's stacks, the arena's trace buffer, the recorder (or a replayer in its place) and, when
-// the plan is armed, the fault injector. The destructor adds the substrate counters to the
+// the plan is armed, the fault injector. The destructor adds the scheduler's host counts to the
 // arena's profile and hands the trace buffer back, so whatever reads the trace runs first.
 class Explorer::Harness {
  public:
@@ -110,16 +110,15 @@ class Explorer::Harness {
   ~Harness() {
     rt.scheduler().set_perturber(nullptr);
     rt.scheduler().set_fault_injector(nullptr);
-    arena.profile.fiber_switches += rt.scheduler().fiber_switches();
-    arena.profile.stack_acquires += rt.scheduler().stack_acquires();
-    arena.profile.stack_pool_hits += rt.scheduler().stack_pool_hits();
+    const pcr::HostCounts& counts = rt.scheduler().host_counts();
+    arena.profile.fiber_switches += counts.fiber_switches;
+    arena.profile.stack_acquires += counts.stack_acquires;
+    arena.profile.stack_pool_hits += counts.stack_pool_hits;
     arena.trace_buffer = rt.tracer().TakeEventBuffer();
   }
 
-  // The body, then Shutdown. An exception escaping the body fails the run. Inlined into its
-  // callers, so the exec fiber holds one frame under the body, as every snapshot's byte count
-  // assumes.
-  [[gnu::always_inline]] void RunBody(const TestBody& body) {
+  // The body, then Shutdown. An exception escaping the body fails the run.
+  void RunBody(const TestBody& body) {
     try {
       body(rt, ctx);
     } catch (const std::exception& e) {

@@ -23,11 +23,9 @@
 #define SRC_PARADIGM_ADMISSION_H_
 
 #include <cstdint>
-#include <string>
 #include <string_view>
 
 #include "src/pcr/scheduler.h"
-#include "src/trace/metrics.h"
 
 namespace paradigm {
 
@@ -68,19 +66,13 @@ inline std::string_view AdmissionVerdictName(AdmissionVerdict verdict) {
 
 class AdmissionController {
  public:
-  AdmissionController(pcr::Scheduler& scheduler, AdmissionOptions options,
-                      std::string_view metric_prefix = {})
+  AdmissionController(pcr::Scheduler& scheduler, AdmissionOptions options)
       : scheduler_(scheduler), options_(options) {
     if (options_.tokens_per_sec > 0) {
       burst_ = options_.burst > 0 ? options_.burst : options_.tokens_per_sec;
       tokens_ = burst_;  // start full: the first burst rides free, like a freshly idle server
     }
     last_refill_ = scheduler_.now();
-    if (!metric_prefix.empty()) {
-      std::string prefix(metric_prefix);
-      m_admitted_ = scheduler_.MetricCounter(prefix + ".admitted");
-      m_rejected_ = scheduler_.MetricCounter(prefix + ".rejected");
-    }
   }
 
   // One admission decision for a request offered to a queue currently `queue_depth` deep.
@@ -90,10 +82,8 @@ class AdmissionController {
     AdmissionVerdict verdict = Decide(queue_depth);
     if (verdict == AdmissionVerdict::kAdmit) {
       ++admitted_;
-      trace::MetricAdd(m_admitted_);
     } else {
       ++rejections_[static_cast<size_t>(verdict)];
-      trace::MetricAdd(m_rejected_);
     }
     return verdict;
   }
@@ -152,8 +142,6 @@ class AdmissionController {
   pcr::Usec last_refill_ = 0;
   int64_t admitted_ = 0;
   int64_t rejections_[4] = {0, 0, 0, 0};  // indexed by AdmissionVerdict
-  trace::Counter* m_admitted_ = nullptr;
-  trace::Counter* m_rejected_ = nullptr;
 };
 
 }  // namespace paradigm

@@ -117,7 +117,6 @@ struct Checkpoint::State {
   // Tracer rollback point.
   size_t event_count = 0;
   size_t symbol_count = 0;
-  Usec window_start = 0;
 
   // Runtime::Current() at snapshot time. The run loop sets the thread-local on entry and
   // clears it on return; a restore rewinds stacks back *inside* that call, so the pointer must
@@ -202,7 +201,6 @@ Checkpoint::Checkpoint(Scheduler& scheduler, trace::Tracer& tracer, Fiber* exec_
 
   s.event_count = tracer_.size();
   s.symbol_count = tracer_.symbols().size();
-  s.window_start = tracer_.window_start();
   s.current_runtime = Runtime::Current();
 
   s.registry = scheduler_.checkpointables_;
@@ -287,7 +285,6 @@ void Checkpoint::Restore() {
   // ever append, so a prefix truncation is exact; symbol ids are dense and assigned in order.
   tracer_.TruncateTo(s.event_count);
   tracer_.symbols().TruncateTo(s.symbol_count);
-  tracer_.MarkWindowStart(s.window_start);
   Runtime::SetCurrent(s.current_runtime);
 
   // 5. Checkpointables: restore the registry, then rebuild each saved object in place. The

@@ -10,8 +10,6 @@ namespace pcr {
 Condition::Condition(MonitorLock& lock, std::string name, Usec timeout)
     : lock_(lock), name_(std::move(name)), id_(lock.scheduler().NextObjectId()),
       name_sym_(lock.scheduler().InternName(name_)), timeout_(timeout) {
-  m_wait_notified_us_ = lock_.scheduler().MetricHistogram("cv.wait_us.notified");
-  m_wait_timeout_us_ = lock_.scheduler().MetricHistogram("cv.wait_us.timeout");
   lock_.scheduler().RegisterCheckpointable(this);
 }
 
@@ -75,8 +73,8 @@ bool Condition::Wait() {
     timed_out = s.BlockCurrent(BlockReason::kCondition, this, deadline);
     s.Emit(timed_out ? trace::EventType::kCvTimeout : trace::EventType::kCvNotified, id_, 0,
            name_sym_);
-    trace::MetricRecord(timed_out ? m_wait_timeout_us_ : m_wait_notified_us_,
-                        s.now() - wait_began);
+    // The cv.wait_us.* histograms: Table 2's timeout-vs-notify split as a live metric.
+    s.RecordWait(timed_out, s.now() - wait_began);
     ++(timed_out ? timeout_exits_ : notified_exits_);
     ThreadId notifier = timed_out ? kNoThread : me->notified_by;
     lock_.ReacquireAfterWait(notifier);

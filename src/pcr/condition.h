@@ -73,7 +73,7 @@ class Condition : public Checkpointable {
   int64_t notified_exits() const { return notified_exits_; }
 
   // Checkpointable: heap-owning members are name_ and waiters_; scalars (timeout, exit
-  // counters, histogram handles) ride the raw byte image. See checkpoint.h.
+  // counters) ride the raw byte image. See checkpoint.h.
   void CheckpointSave(CheckpointedObjectState* state) const override;
   void CheckpointTeardown() override;
   void CheckpointRestore(const CheckpointedObjectState& state) override;
@@ -90,10 +90,6 @@ class Condition : public Checkpointable {
   ObjectId id_;
   uint32_t name_sym_;  // `name_` interned in the tracer's symbol table
   Usec timeout_;
-  // Wait-latency histograms split by completion cause — Table 2's timeout-vs-notify
-  // distinction as a live metric. nullptr with metrics off.
-  trace::Log2Histogram* m_wait_notified_us_ = nullptr;
-  trace::Log2Histogram* m_wait_timeout_us_ = nullptr;
   int64_t timeout_exits_ = 0;
   int64_t notified_exits_ = 0;
   WaitQueue waiters_;

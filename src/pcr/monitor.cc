@@ -9,8 +9,6 @@ namespace pcr {
 MonitorLock::MonitorLock(Scheduler& scheduler, std::string name)
     : scheduler_(scheduler), name_(std::move(name)), id_(scheduler.NextObjectId()),
       name_sym_(scheduler.InternName(name_)) {
-  m_all_contentions_ = scheduler_.MetricCounter("monitor.contentions");
-  m_all_hold_us_ = scheduler_.MetricHistogram("monitor.hold_us");
   scheduler_.RegisterCheckpointable(this);
 }
 
@@ -115,7 +113,7 @@ void MonitorLock::AcquireSlowPath(bool count_spurious, ThreadId notifier) {
         RegisterContentionMetrics();
       }
       trace::MetricAdd(m_contentions_);
-      trace::MetricAdd(m_all_contentions_);
+      scheduler_.CountContention();
       if (count_spurious && notifier != kNoThread && owner_ == notifier) {
         // Section 6.1: the notified thread woke up only to block on the monitor still held by
         // its notifier — a spurious lock conflict ("useless trips through the scheduler").
@@ -176,7 +174,7 @@ void MonitorLock::ReleaseInternal() {
     // stamping acquired_at_, and a synthetic hold time would pollute the histogram.
     const Usec held = scheduler_.now() - acquired_at_;
     trace::MetricRecord(m_hold_us_, held);
-    trace::MetricRecord(m_all_hold_us_, held);
+    scheduler_.RecordHold(held);
   }
   scheduler_.ClearInheritedPriority(owner_);  // the donation ends with the critical section
   SetOwner(kNoThread);

@@ -99,15 +99,12 @@ class MonitorLock : public Checkpointable {
   ThreadId owner_ = kNoThread;
   MonitorLock* next_held_ = nullptr;  // owner_'s held list, toward older acquisitions
   bool poisoned_ = false;
-  Usec acquired_at_ = 0;  // when owner_ last took the lock (for the hold-time histogram)
-  // Metric handles (nullptr with metrics off). The process-wide rollups are registered at
-  // construction; the per-monitor series lazily, on first contention — see
-  // RegisterContentionMetrics for why.
+  Usec acquired_at_ = 0;  // when owner_ last took the lock (for the hold-time histograms)
+  // This monitor's own series (nullptr with metrics off), registered on first contention — see
+  // RegisterContentionMetrics for why. The scheduler keeps the monitor.* rollups.
   bool per_monitor_registered_ = false;
   trace::Counter* m_contentions_ = nullptr;
-  trace::Counter* m_all_contentions_ = nullptr;
   trace::Log2Histogram* m_hold_us_ = nullptr;
-  trace::Log2Histogram* m_all_hold_us_ = nullptr;
   WaitQueue entry_waiters_;
   std::vector<ThreadId> deferred_wakeups_;
 };

@@ -7,6 +7,8 @@
 #include <cstdlib>
 #include <iostream>
 #include <limits>
+#include <string_view>
+#include <utility>
 
 #include "src/pcr/checkpoint.h"
 #include "src/pcr/interrupt.h"
@@ -68,24 +70,37 @@ Scheduler::Scheduler(const Config& config, trace::Tracer* tracer)
   // SelectReady while a pointer to tied_scratch_.data() lives in a suspended frame, so the
   // vector must never reallocate (restore refills it in place, within this capacity).
   tied_scratch_.reserve(static_cast<size_t>(std::max(1, config_.max_threads)));
-  if (config_.metrics) {
-    // Register once here; the hot paths only ever touch the cached pointers.
-    m_dispatches_ = metrics_.counter("sched.dispatches");
-    m_idle_parks_ = metrics_.counter("sched.idle_parks");
-    m_preempts_ = metrics_.counter("sched.preempts");
-    m_forced_preempts_ = metrics_.counter("sched.forced_preempts");
-    m_ticks_ = metrics_.counter("sched.ticks");
-    m_timer_fires_ = metrics_.counter("sched.timer_fires");
-    m_forks_ = metrics_.counter("sched.forks");
-    m_fiber_switches_ = metrics_.counter("fiber.switches");
-    m_stack_acquires_ = metrics_.counter("stack.acquires");
-    m_stack_pool_hits_ = metrics_.counter("stack.pool_hits");
-    m_stack_peak_live_ = metrics_.counter("stack.peak_live_bytes");
-    m_ready_depth_ = metrics_.histogram("sched.ready_depth");
-    m_faults_injected_ = metrics_.counter("fault.injected");
-    m_fork_failures_ = metrics_.counter("fault.fork_failures");
-    m_monitors_poisoned_ = metrics_.counter("fault.monitors_poisoned");
+}
+
+trace::MetricsRegistry& Scheduler::metrics() {
+  if (!config_.metrics) {
+    return metrics_;
   }
+  const std::pair<std::string_view, int64_t> counters[] = {
+      {"sched.dispatches", counts_.dispatches},
+      {"sched.idle_parks", counts_.idle_parks},
+      {"sched.preempts", counts_.preempts},
+      {"sched.forced_preempts", counts_.forced_preempts},
+      {"sched.ticks", counts_.ticks},
+      {"sched.timer_fires", counts_.timer_fires},
+      {"sched.forks", thread_count()},
+      {"fiber.switches", counts_.fiber_switches},
+      {"stack.acquires", counts_.stack_acquires},
+      {"stack.pool_hits", counts_.stack_pool_hits},
+      {"stack.peak_live_bytes", static_cast<int64_t>(peak_stack_bytes_reserved_)},
+      {"fault.injected", counts_.faults_injected},
+      {"fault.fork_failures", counts_.fork_failures},
+      {"fault.monitors_poisoned", counts_.monitors_poisoned},
+      {"monitor.contentions", counts_.monitor_contentions},
+  };
+  for (const auto& [name, value] : counters) {
+    metrics_.counter(name)->Set(value);
+  }
+  *metrics_.histogram("sched.ready_depth") = ready_depth_;
+  *metrics_.histogram("monitor.hold_us") = hold_us_;
+  *metrics_.histogram("cv.wait_us.notified") = wait_notified_us_;
+  *metrics_.histogram("cv.wait_us.timeout") = wait_timeout_us_;
+  return metrics_;
 }
 
 trace::Counter* Scheduler::MetricCounter(std::string_view name) {
@@ -239,7 +254,7 @@ ForkResult Scheduler::TryFork(std::function<void()> body, ForkOptions options) {
       break;
     }
     Emit(trace::EventType::kForkFailed, 0, static_cast<uint64_t>(error));
-    trace::MetricAdd(m_fork_failures_);
+    ++counts_.fork_failures;
     ForkOnFailure policy = options.on_failure;
     if (policy == ForkOnFailure::kDefault) {
       // Section 5.4: "our more recent implementations simply wait in the fork implementation
@@ -289,8 +304,6 @@ ForkResult Scheduler::TryFork(std::function<void()> body, ForkOptions options) {
   PushReady(*tcb);
   tcbs_.push_back(std::move(tcb));
   ++live_threads_;
-  ++total_forks_;
-  trace::MetricAdd(m_forks_);
   Emit(trace::EventType::kThreadFork, id, static_cast<uint64_t>(ClampPriority(options.priority)),
        GetTcb(id).name_sym);
   Compute(config_.costs.fork);  // preemption point: a higher-priority child starts promptly
@@ -505,7 +518,7 @@ void Scheduler::WakeThread(ThreadId tid, bool from_timer, bool front) {
   t.wait_object = nullptr;
   PushReady(t, front);
   if (from_timer) {
-    trace::MetricAdd(m_timer_fires_);
+    ++counts_.timer_fires;
   }
   if (from_timer && trace_active_) {
     trace::Event e;
@@ -552,7 +565,7 @@ uint64_t Scheduler::ConsultFault(FaultSite site) {
   uint64_t magnitude = fault_injector_->OnFaultPoint(site);
   if (magnitude != 0) {
     Emit(trace::EventType::kFaultInjected, static_cast<ObjectId>(site), magnitude);
-    trace::MetricAdd(m_faults_injected_);
+    ++counts_.faults_injected;
   }
   return magnitude;
 }
@@ -622,7 +635,7 @@ void Scheduler::MaybeForcePreempt(PreemptPoint point) {
   // YieldButNotToMe there is no penalty — the perturber is exploring legal schedules, not
   // changing policy.
   Emit(trace::EventType::kForcedPreempt, 0, static_cast<uint64_t>(point));
-  trace::MetricAdd(m_forced_preempts_);
+  ++counts_.forced_preempts;
   Requeue(*me);
   me->fiber->Suspend();
   if (shutting_down_) {
@@ -747,10 +760,7 @@ bool Scheduler::BoostedThreadReady() const {
   return found;
 }
 
-// Always inlined into its one caller, AssignProcessors, so that the dispatch path stays one
-// frame whatever the inliner decides about the Tracer::Record calls beside it. The frame depth
-// matters beyond speed: a tie-break pause snapshots the exec stack at this depth.
-[[gnu::always_inline]] inline ThreadId Scheduler::SelectReady() {
+inline ThreadId Scheduler::SelectReady() {
   // Fast path: with no boosted/penalized/inherited thread anywhere and strict-priority
   // scheduling, effective priority equals base priority, so the best candidate is simply the
   // front of the highest non-empty level — one find-first-set on the ready mask instead of a
@@ -919,7 +929,7 @@ void Scheduler::AssignProcessors() {
           tracer_->Record(e);
         }
         last_running_[p] = kNoThread;
-        trace::MetricAdd(m_idle_parks_);
+        ++counts_.idle_parks;
       }
       continue;
     }
@@ -943,13 +953,13 @@ void Scheduler::AssignProcessors() {
       last_running_[p] = tid;
       // This branch fires exactly when a thread!=0 kSwitch event would be recorded, so
       // sched.dispatches stays equal to the post-hoc Summary.switches count.
-      trace::MetricAdd(m_dispatches_);
-      if (m_ready_depth_ != nullptr) {
+      ++counts_.dispatches;
+      if (config_.metrics) {
         size_t depth = 0;
         for (const auto& queue : ready_) {
           depth += queue.size();
         }
-        m_ready_depth_->Record(static_cast<int64_t>(depth));
+        ready_depth_.Record(static_cast<int64_t>(depth));
       }
     }
   }
@@ -985,7 +995,7 @@ void Scheduler::PreemptIfNeeded() {
     // preempt the currently running thread, even if it holds monitor locks" (Section 2).
     Tcb& victim = GetTcb(running_[static_cast<size_t>(weakest_proc)]);
     Emit(trace::EventType::kPreempt, victim.id, 0, victim.name_sym);
-    trace::MetricAdd(m_preempts_);
+    ++counts_.preempts;
     Requeue(victim, /*front=*/true);
     AssignProcessors();
   }
@@ -1022,36 +1032,26 @@ void Scheduler::RunFiber(Tcb& tcb) {
     bool from_pool = false;
     FiberStack stack = stack_pool_->Acquire(
         tcb.stack_bytes != 0 ? tcb.stack_bytes : config_.stack_bytes, &from_pool);
-    ++stack_acquires_;
-    trace::MetricAdd(m_stack_acquires_);
+    ++counts_.stack_acquires;
     if (from_pool) {
-      ++stack_pool_hits_;
-      trace::MetricAdd(m_stack_pool_hits_);
+      ++counts_.stack_pool_hits;
     }
     tcb.fiber = std::make_unique<Fiber>([this, target] { FiberBody(*target); },
                                         std::move(stack), stack_pool_);
     tcb.fiber->set_debug_id(tcb.id);
     stack_bytes_reserved_ += tcb.fiber->stack_reserved_bytes();
-    if (stack_bytes_reserved_ > peak_stack_bytes_reserved_) {
-      peak_stack_bytes_reserved_ = stack_bytes_reserved_;
-      // Surface the high-water mark through the registry as well: monotone, so expressed as
-      // the delta that raises the counter to the new peak.
-      trace::MetricAdd(m_stack_peak_live_,
-                       static_cast<int64_t>(peak_stack_bytes_reserved_) -
-                           (m_stack_peak_live_ != nullptr ? m_stack_peak_live_->value() : 0));
-    }
+    peak_stack_bytes_reserved_ = std::max(peak_stack_bytes_reserved_, stack_bytes_reserved_);
   }
   ThreadId previous = current_tid_;
   current_tid_ = tcb.id;
-  fiber_switches_ += 2;  // one switch in, one back out when the fiber suspends or finishes
-  trace::MetricAdd(m_fiber_switches_, 2);
+  counts_.fiber_switches += 2;  // one in, one back out when the fiber suspends or finishes
   tcb.fiber->Resume();
   current_tid_ = previous;
   // Checkpoint pauses: the fiber parked itself at a perturber consult (CheckpointPause). Fire
   // the hook from this frame — which lives on the exec stack, so a snapshot/restore rewinds to
   // exactly here — then resume the same fiber to continue the consult. The flag clears before
   // the hook so the snapshot records it false; the hidden Resume round trip is deliberately
-  // not counted in fiber_switches_ (a pause must be invisible to from-zero comparisons).
+  // not counted in fiber_switches (a pause must be invisible to from-zero comparisons).
   while (checkpoint_pause_pending_) {
     checkpoint_pause_pending_ = false;
     checkpoint_hook_();
@@ -1106,7 +1106,7 @@ void Scheduler::ExitCurrent() {
     while (MonitorLock* lock = next) {
       next = lock->next_held();
       lock->Poison();
-      trace::MetricAdd(m_monitors_poisoned_);
+      ++counts_.monitors_poisoned;
     }
     if (me.detached || config_.fatal_uncaught) {
       // Nobody will ever Join this thread to rethrow the exception, so this report is the only
@@ -1292,7 +1292,7 @@ void Scheduler::DeliverInterruptsUpTo(Usec t) {
 }
 
 void Scheduler::HandleTick() {
-  trace::MetricAdd(m_ticks_);
+  ++counts_.ticks;
   // The tick ends YieldButNotToMe penalties and directed-yield boosts (Section 6.3: "The end of
   // a timeslice ends the effect of a YieldButNotToMe or a directed yield"). The counters make
   // the sweep free in the overwhelmingly common tick with no live modifier.

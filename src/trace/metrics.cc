@@ -6,15 +6,6 @@
 
 namespace trace {
 
-void MetricsRegistry::Reset() {
-  for (auto& [name, counter] : counters_) {
-    counter.Reset();
-  }
-  for (auto& [name, histogram] : histograms_) {
-    histogram.Reset();
-  }
-}
-
 void MetricsRegistry::WriteJson(std::ostream& os) const {
   os << "{\n  \"counters\": {";
   bool first = true;

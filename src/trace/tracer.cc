@@ -282,7 +282,6 @@ void Tracer::Clear() {
   size_ = 0;
   dropped_ = 0;
   streamed_ = 0;
-  window_start_ = 0;  // a cleared log starts a fresh measurement window
 }
 
 SegmentArena Tracer::TakeEventBuffer() {

@@ -8,7 +8,6 @@
 
 #include "src/explore/hash.h"
 #include "src/pcr/errors.h"
-#include "src/trace/metrics.h"
 
 namespace world {
 
@@ -42,8 +41,7 @@ ServiceWorld::Shard::Shard(ServiceWorld& w, int i)
     : world(w), index(i),
       lock(w.runtime_.scheduler(), "shard" + std::to_string(i) + ".queue"),
       work_ready(lock, "shard" + std::to_string(i) + ".work-ready"),
-      admission(w.runtime_.scheduler(), w.spec_.admission,
-                "service.shard" + std::to_string(i) + ".admission"),
+      admission(w.runtime_.scheduler(), w.spec_.admission),
       connection(w.runtime_.scheduler(), "shard" + std::to_string(i) + ".x-connection"),
       xserver(w.runtime_, w.spec_.xserver_costs) {}
 
@@ -55,11 +53,6 @@ ServiceWorld::ServiceWorld(pcr::Runtime& runtime, ServiceSpec spec)
   for (const LoadPhase& phase : spec_.phases) {
     horizon_ += phase.duration;
   }
-  m_admitted_ = runtime_.scheduler().MetricCounter("service.admitted");
-  m_rejected_ = runtime_.scheduler().MetricCounter("service.rejected");
-  m_shed_ = runtime_.scheduler().MetricCounter("service.shed");
-  m_completed_ = runtime_.scheduler().MetricCounter("service.completed");
-
   shards_.reserve(static_cast<size_t>(spec_.shards));
   for (int i = 0; i < spec_.shards; ++i) {
     shards_.push_back(std::make_unique<Shard>(*this, i));
@@ -151,7 +144,6 @@ void ServiceWorld::UpdateBrownoutLocked(Shard& shard) {
     while (!shard.bulk_q.empty() && DepthLocked(shard) > spec_.brownout_low) {
       shard.bulk_q.pop_front();
       ++shard.shed;
-      trace::MetricAdd(m_shed_);
     }
   } else if (shard.browned_out && now >= shard.brownout_until &&
              DepthLocked(shard) <= spec_.brownout_low) {
@@ -164,12 +156,10 @@ ServiceWorld::OfferOutcome ServiceWorld::Offer(Shard& shard, ServiceRequest requ
   size_t depth = DepthLocked(shard);
   paradigm::AdmissionVerdict verdict = shard.admission.Admit(depth);
   if (verdict != paradigm::AdmissionVerdict::kAdmit) {
-    trace::MetricAdd(m_rejected_);
     return OfferOutcome::kRejected;
   }
   if (spec_.queue_capacity != 0 && depth >= spec_.queue_capacity) {
     ++shard.rejected_full;
-    trace::MetricAdd(m_rejected_);
     return OfferOutcome::kRejected;
   }
   UpdateBrownoutLocked(shard);
@@ -177,7 +167,6 @@ ServiceWorld::OfferOutcome ServiceWorld::Offer(Shard& shard, ServiceRequest requ
     // Shed at the door: a browned-out shard will not buffer new bulk work. Not a rejection —
     // the generator must not burn retry budget re-offering work the shard chose to drop.
     ++shard.shed;
-    trace::MetricAdd(m_shed_);
     return OfferOutcome::kShed;
   }
   if (request.cls == RequestClass::kInteractive) {
@@ -188,7 +177,6 @@ ServiceWorld::OfferOutcome ServiceWorld::Offer(Shard& shard, ServiceRequest requ
   shard.max_depth = std::max(shard.max_depth, DepthLocked(shard));
   UpdateBrownoutLocked(shard);
   ++shard.admitted;
-  trace::MetricAdd(m_admitted_);
   shard.work_ready.Notify();
   return OfferOutcome::kAdmitted;
 }
@@ -284,7 +272,6 @@ void ServiceWorld::Deliver(Shard& shard, const ServiceRequest& request) {
     shard.slack->Submit(paint);  // latency recorded at the slack flush, after merging
     ++shard.completed_bulk;
   }
-  trace::MetricAdd(m_completed_);
 }
 
 void ServiceWorld::RecordLatency(RequestClass cls, pcr::Usec latency) {

@@ -236,10 +236,6 @@ class ServiceWorld {
   // the collapse-knee latencies the bench reads off these).
   trace::Histogram latency_[kNumRequestClasses] = {trace::Histogram(500, 4000),
                                                    trace::Histogram(500, 4000)};
-  trace::Counter* m_admitted_ = nullptr;
-  trace::Counter* m_rejected_ = nullptr;
-  trace::Counter* m_shed_ = nullptr;
-  trace::Counter* m_completed_ = nullptr;
 };
 
 // ---------------------------------------------------------------------------

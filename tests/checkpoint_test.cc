@@ -7,6 +7,7 @@
 // silently falls back to from-zero execution, so these tests still pass — they just compare
 // the fallback against itself.
 
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -343,33 +344,90 @@ TEST(CheckpointProfileTest, SubstrateCountersArePinned) {
   }
 }
 
-// A restore does not undo host work: switches and a pooled FORK made after a snapshot stay
-// counted when the snapshot is restored.
+// Every pcr::HostCounts field, named, in declaration order. The size check fails the build when
+// a field is added without being listed here.
+std::vector<std::pair<const char*, int64_t>> HostCountFields(const pcr::HostCounts& c) {
+  static_assert(sizeof(pcr::HostCounts) == 13 * sizeof(int64_t), "list every HostCounts field");
+  return {{"dispatches", c.dispatches},
+          {"idle_parks", c.idle_parks},
+          {"preempts", c.preempts},
+          {"forced_preempts", c.forced_preempts},
+          {"ticks", c.ticks},
+          {"timer_fires", c.timer_fires},
+          {"fiber_switches", c.fiber_switches},
+          {"stack_acquires", c.stack_acquires},
+          {"stack_pool_hits", c.stack_pool_hits},
+          {"faults_injected", c.faults_injected},
+          {"fork_failures", c.fork_failures},
+          {"monitors_poisoned", c.monitors_poisoned},
+          {"monitor_contentions", c.monitor_contentions}};
+}
+
+// Forces one preemption, at the first point it is asked about; keeps FIFO tie-breaks.
+struct PreemptOnce : pcr::SchedulePerturber {
+  bool fired = false;
+  bool ForcePreempt(pcr::PreemptPoint, pcr::ThreadId) override {
+    return !std::exchange(fired, true);
+  }
+  size_t PickNext(const pcr::ThreadId*, size_t) override { return 0; }
+};
+
+// Fails the first FORK it is asked about.
+struct FailOneFork : pcr::FaultInjector {
+  bool fired = false;
+  uint64_t OnFaultPoint(pcr::FaultSite site) override {
+    return site == pcr::FaultSite::kFork && !std::exchange(fired, true) ? 1 : 0;
+  }
+};
+
+// A restore does not undo host work: every host count the run moves after a snapshot stays
+// where the run left it when the snapshot is restored.
 TEST(CheckpointRestoreTest, SubstrateCountersDoNotRewind) {
   if (!pcr::Checkpoint::Supported()) {
     GTEST_SKIP() << "checkpointing is unsupported in this build";
   }
   pcr::Runtime rt;
   pcr::Scheduler& scheduler = rt.scheduler();
+  pcr::MonitorLock mu(scheduler, "mu");
+  pcr::MonitorLock abandoned(scheduler, "abandoned");
   rt.ForkDetached([] { pcr::thisthread::Compute(10); });  // parks its stack in the pool
   rt.RunUntilQuiescent(pcr::kUsecPerSec);
   pcr::Checkpoint ckpt(scheduler, rt.tracer(), nullptr);
-  const int64_t switches = scheduler.fiber_switches();
-  const int64_t acquires = scheduler.stack_acquires();
-  const int64_t pool_hits = scheduler.stack_pool_hits();
-  rt.ForkDetached([] {
+  const auto at_snapshot = HostCountFields(scheduler.host_counts());
+
+  // One forced preemption at the first monitor entry, and one failed FORK.
+  PreemptOnce perturber;
+  FailOneFork injector;
+  scheduler.set_perturber(&perturber);
+  scheduler.set_fault_injector(&injector);
+  ASSERT_FALSE(scheduler.TryFork([] {}, {.on_failure = pcr::ForkOnFailure::kReturnError}).ok());
+  // Holding mu across a sleep: the second entrant contends, and the sleep's timer fires at a
+  // tick.
+  rt.ForkDetached([&] {
+    pcr::MonitorGuard g(mu);
+    pcr::thisthread::Sleep(60 * pcr::kUsecPerMsec);
+  }, {.priority = 3});
+  rt.ForkDetached([&] { pcr::MonitorGuard g(mu); }, {.priority = 3});
+  // A low-priority thread forks a high-priority one, which preempts it.
+  rt.ForkDetached([&rt] {
+    rt.ForkDetached([] {}, {.priority = 5});
     pcr::thisthread::Compute(10);
-    pcr::thisthread::Yield();
+  }, {.priority = 2});
+  // Dies holding a monitor, which poisons it.
+  rt.ForkDetached([&] {
+    abandoned.Enter();
+    throw std::runtime_error("dies holding a monitor");
   });
   rt.RunUntilQuiescent(pcr::kUsecPerSec);
-  ASSERT_GT(scheduler.fiber_switches(), switches);
-  ASSERT_EQ(scheduler.stack_acquires(), acquires + 1);
-  ASSERT_EQ(scheduler.stack_pool_hits(), pool_hits + 1);
-  const int64_t switches_before_restore = scheduler.fiber_switches();
+  scheduler.set_perturber(nullptr);
+  scheduler.set_fault_injector(nullptr);
+  const auto before_restore = HostCountFields(scheduler.host_counts());
+  for (size_t i = 0; i < before_restore.size(); ++i) {
+    EXPECT_GT(before_restore[i].second, at_snapshot[i].second) << before_restore[i].first;
+  }
+
   ckpt.Restore();
-  EXPECT_EQ(scheduler.fiber_switches(), switches_before_restore);
-  EXPECT_EQ(scheduler.stack_acquires(), acquires + 1);
-  EXPECT_EQ(scheduler.stack_pool_hits(), pool_hits + 1);
+  EXPECT_EQ(HostCountFields(scheduler.host_counts()), before_restore);
 }
 
 }  // namespace

@@ -7,12 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <initializer_list>
 #include <map>
 #include <memory>
-#include <new>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -24,25 +21,7 @@
 #include "src/explore/hash.h"
 #include "src/explore/scenarios.h"
 #include "src/trace/tracer.h"
-
-// Every operator new in this binary, counted while g_count_allocations is set.
-namespace {
-std::atomic<bool> g_count_allocations{false};
-std::atomic<long> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (g_count_allocations.load(std::memory_order_relaxed)) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (void* p = std::malloc(size == 0 ? 1 : size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-// Out of line, so the compiler never sees a new-expression's pointer reach free().
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#include "tests/allocation_counter.h"
 
 namespace {
 
@@ -400,19 +379,16 @@ TEST(TraceFoldTest, WarmFoldAllocatesNothingPerRun) {
     }
   };
   run_all();  // warm-up: one run per scenario
-  g_allocations = 0;
-  g_count_allocations = true;
-  run_all();
-  g_count_allocations = false;
-  EXPECT_EQ(g_allocations.load(), 0);
+  EXPECT_EQ(testing_support::CountAllocations(run_all), 0);
 
   // The allocation counter itself works.
-  g_count_allocations = true;
-  fold.Reset(true, 7);
-  fold.Feed(golden.tracer());  // far ids and a second cell: past the warm capacity
-  const std::vector<Finding> findings = fold.Findings();
-  g_count_allocations = false;
-  EXPECT_GT(g_allocations.load(), 0);
+  std::vector<Finding> findings;
+  EXPECT_GT(testing_support::CountAllocations([&] {
+              fold.Reset(true, 7);
+              fold.Feed(golden.tracer());  // far ids and a second cell: past the warm capacity
+              findings = fold.Findings();
+            }),
+            0);
   ExpectSameFindings(findings, explore::AnalyzeTrace(golden.tracer()));
 }
 

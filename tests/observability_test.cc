@@ -20,6 +20,7 @@
 #include "src/trace/metrics.h"
 #include "src/trace/serialize.h"
 #include "src/trace/stats.h"
+#include "tests/allocation_counter.h"
 
 namespace {
 
@@ -376,10 +377,6 @@ TEST(MetricsTest, RegistryHandlesAreStableAndJsonIsDeterministic) {
       "  }\n"
       "}\n";
   EXPECT_EQ(os.str(), expected);
-
-  reg.Reset();
-  EXPECT_EQ(reg.counter("b")->value(), 0);
-  EXPECT_EQ(reg.histogram("h")->count(), 0u);
   EXPECT_EQ(reg.FindCounter("nope"), nullptr);
 }
 
@@ -475,6 +472,24 @@ TEST(MetricsTest, PerMonitorSeriesRegisterOnFirstContention) {
   EXPECT_NE(m.FindHistogram("monitor.fought.hold_us"), nullptr);
   EXPECT_GE(m.FindCounter("monitor.contentions")->value(),
             m.FindCounter("monitor.fought.contentions")->value());
+}
+
+// The scheduler keeps the fixed-name metrics as plain values and fills the registry only when
+// it is read, so turning metrics on costs a runtime, its first monitor and its first CV no
+// allocation.
+TEST(MetricsTest, ConstructionAllocatesTheSameWithMetricsOnAndOff) {
+  auto construct = [](bool metrics) {
+    pcr::Config config;
+    config.metrics = metrics;
+    return testing_support::CountAllocations([&config] {
+      pcr::Runtime rt(config);
+      pcr::MonitorLock mu(rt.scheduler(), "mu");
+      pcr::Condition cv(mu, "cv");
+    });
+  };
+  const long off = construct(false);
+  EXPECT_GT(off, 0);
+  EXPECT_EQ(construct(true), off);
 }
 
 TEST(MetricsTest, ConfigMetricsOffLeavesRegistryEmpty) {

@@ -448,9 +448,9 @@ TEST(FiberSwitchCountTest, ChargesNoOtherThreadObservesCostNoSwitch) {
   EXPECT_EQ(rt.RunUntilQuiescent(kUsecPerSec), RunStatus::kQuiescent);
   EXPECT_EQ(rt.now(), 1030);
   EXPECT_EQ(rt.scheduler().fiber_switches(), 2);
-  if (trace::Counter* switches = rt.scheduler().MetricCounter("fiber.switches")) {
-    EXPECT_EQ(switches->value(), 2);
-  }
+  const trace::Counter* switches = rt.scheduler().metrics().FindCounter("fiber.switches");
+  ASSERT_NE(switches, nullptr);
+  EXPECT_EQ(switches->value(), 2);
 }
 
 }  // namespace

@@ -133,8 +133,8 @@ TEST(StackPoolSchedulerTest, ForkReusesStacksAcrossGenerations) {
   }
   rt.Shutdown();
   // 12 dispatched threads, but after round one every fork finds a parked stack.
-  EXPECT_EQ(rt.scheduler().stack_acquires(), 12);
-  EXPECT_GE(rt.scheduler().stack_pool_hits(), 8);
+  EXPECT_EQ(rt.scheduler().host_counts().stack_acquires, 12);
+  EXPECT_GE(rt.scheduler().host_counts().stack_pool_hits, 8);
   EXPECT_EQ(rt.scheduler().stack_pool().stats().live_bytes, 0u);
 }
 

@@ -122,7 +122,7 @@ TEST_P(StressSweep, RandomProgramTerminatesWithInvariantsIntact) {
   trace::Summary s = trace::Summarize(rt.tracer());
   EXPECT_LE(s.ml_contentions, s.ml_enters);
   EXPECT_LE(s.cv_timeouts, s.cv_waits);
-  EXPECT_EQ(s.forks, rt.scheduler().total_forks());
+  EXPECT_EQ(s.forks, rt.scheduler().thread_count());
   trace::ValidationResult validation = trace::ValidateTrace(rt.tracer());
   EXPECT_TRUE(validation.ok()) << validation.ToString();
 }

@@ -289,10 +289,7 @@ TEST(SegmentedTracerTest, ClearResetsWindowStartAndKeepsSymbols) {
   Event e = Simple(100);
   e.thread_sym = sym;
   tracer.Record(e);
-  tracer.MarkWindowStart(50);
-  ASSERT_EQ(tracer.window_start(), 50);
   tracer.Clear();
-  EXPECT_EQ(tracer.window_start(), 0);
   EXPECT_EQ(tracer.size(), 0u);
   EXPECT_EQ(tracer.retained(), 0u);
   EXPECT_EQ(tracer.last_time(), 0);
@@ -301,10 +298,9 @@ TEST(SegmentedTracerTest, ClearResetsWindowStartAndKeepsSymbols) {
 }
 
 TEST(SegmentedTracerTest, AdoptedArenaTracerIsObservationallyIdenticalToFresh) {
-  // Dirty a tracer well past one segment, with a ring, a window mark, and wide records.
+  // Dirty a tracer well past one segment, with a ring and wide records.
   Tracer donor;
   donor.set_ring_limit(64);
-  donor.MarkWindowStart(1234);
   for (const Event& e : RandomSource(3 * kCap, 21)) {
     donor.Record(e);
   }
@@ -312,11 +308,9 @@ TEST(SegmentedTracerTest, AdoptedArenaTracerIsObservationallyIdenticalToFresh) {
   EXPECT_EQ(donor.size(), 0u);
 
   Tracer recycled;
-  recycled.MarkWindowStart(777);  // must not survive adoption
   recycled.AdoptEventBuffer(std::move(arena));
   Tracer fresh;
 
-  EXPECT_EQ(recycled.window_start(), 0);
   EXPECT_EQ(recycled.size(), 0u);
   EXPECT_EQ(recycled.dropped(), 0u);
   EXPECT_EQ(recycled.streamed(), 0u);

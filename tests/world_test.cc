@@ -152,10 +152,10 @@ TEST(GvxWorldTest, NeverForksUnderAnyInput) {
   world.keyboard().ScriptUniform(0, 5 * kUsecPerSec, 5.0, InputKind::kKey);
   world.mouse().ScriptUniform(0, 5 * kUsecPerSec, 10.0, InputKind::kMouseMove);
   world.mouse().ScriptUniform(0, 5 * kUsecPerSec, 1.0, InputKind::kMouseClick);
-  size_t forks_before = rt.scheduler().total_forks();
+  const int forks_before = rt.scheduler().thread_count();
   rt.RunFor(6 * kUsecPerSec);
   // "no additional threads are forked for any user interface activity" (Section 3).
-  EXPECT_EQ(rt.scheduler().total_forks(), forks_before);
+  EXPECT_EQ(rt.scheduler().thread_count(), forks_before);
   EXPECT_GT(world.keystrokes_handled(), 0);
 }
 
