@@ -7,7 +7,8 @@
 #   sh tools/behaviour_lock.sh BUILD_DIR tests/behaviour.lock     # check (exit 1 on drift)
 #
 # Contents: every `pcrsim --list` scenario at seeds 1 and 2 (summary row + cksum of the saved
-# trace), the `pcrsim --metrics-json` export of three runs (keyboard; gvx-scroll, with
+# trace), the cksum of keyboard's `--chrome-trace` export and its `--dump 5000:5100` event
+# history, the `pcrsim --metrics-json` export of three runs (keyboard; gvx-scroll, with
 # contended monitors; keyboard under a fault plan with the watchdog), the five
 # --load-scenario runs (percentiles + trace hash), `pcrcheck --all
 # --workers=1` (verdicts, repros, replay hashes), the explorer's boundary and pruning counters
@@ -74,6 +75,12 @@ generate() {
       echo "  $slug seed=$seed trace cksum=$(cksum < "$TMP/trace")"
     done
   done
+  echo "# pcrsim --scenario keyboard --seed 1 --duration $DURATION: cksum of --chrome-trace,"
+  echo "# then the --dump 5000:5100 event history"
+  run "$PCRSIM" --scenario keyboard --seed 1 --duration "$DURATION" \
+    --chrome-trace "$TMP/chrome.json" --dump 5000:5100
+  echo "  keyboard seed=1 chrome-trace cksum=$(cksum < "$TMP/chrome.json")"
+  grep -v '^chrome trace written' "$TMP/out"
   echo "# pcrsim --seed 1 --duration $DURATION --metrics-json: the registry snapshot"
   metrics --scenario keyboard
   metrics --scenario gvx-scroll
