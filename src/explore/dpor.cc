@@ -84,7 +84,7 @@ uint64_t IndependentTailStart(const trace::Tracer& tracer) {
   // per key suffices: older touches give strictly weaker constraints.
   std::unordered_map<uint64_t, std::pair<uint64_t, trace::ThreadId>> last_touch;
   uint64_t start = 0;
-  uint64_t index = tracer.first_retained();
+  uint64_t index = 0;
   for (const trace::Event& e : tracer.view()) {
     switch (Classify(e.type)) {
       case DepClass::kNeutral:

@@ -199,7 +199,6 @@ void Watchdog::Report(pcr::Runtime& rt, WatchdogReport report) {
   rt.scheduler().Emit(trace::EventType::kWatchdogReport,
                       static_cast<pcr::ObjectId>(report.kind),
                       report.threads.empty() ? 0 : report.threads.front());
-  rt.scheduler().FlightDump("watchdog report");
   trace::MetricAdd(m_reports_);
   switch (report.kind) {
     case ReportKind::kDeadlock:

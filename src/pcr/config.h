@@ -111,13 +111,6 @@ struct Config {
   // Record trace events (Tables 1-3 and histograms need this on).
   bool trace_events = true;
 
-  // Flight recorder: retain only the last N trace events in a bounded ring (0 = keep the whole
-  // log). With a ring armed, the scheduler dumps the retained tail to stderr whenever something
-  // goes wrong mid-run — a watchdog report or a fiber dying of an uncaught exception (which
-  // also poisons its monitors) — so long runs get a crash history without unbounded memory.
-  // Incompatible with checkpoint/restore, which rewinds the full log.
-  size_t trace_ring_events = 0;
-
   // Feed the runtime metrics registry (scheduler/monitor/CV counters and histograms,
   // src/trace/metrics.h). Independent of trace_events: metrics are the cheap always-on channel
   // for runs too long to keep an event buffer.

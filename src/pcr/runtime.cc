@@ -6,11 +6,7 @@ namespace {
 thread_local Runtime* g_current_runtime = nullptr;
 }  // namespace
 
-Runtime::Runtime(Config config) : scheduler_(config, &tracer_) {
-  if (config.trace_ring_events > 0) {
-    tracer_.set_ring_limit(config.trace_ring_events);
-  }
-}
+Runtime::Runtime(Config config) : scheduler_(config, &tracer_) {}
 
 Runtime::~Runtime() { Shutdown(); }
 

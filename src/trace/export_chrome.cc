@@ -1,6 +1,7 @@
 #include "src/trace/export_chrome.h"
 
 #include <algorithm>
+#include <fstream>
 #include <map>
 #include <ostream>
 #include <set>
@@ -80,15 +81,14 @@ class Emitter {
   bool first_ = true;
 };
 
-}  // namespace
-
 // Consumes events one at a time: instants are emitted on the spot, state/occupancy/hold
 // slices as TimelineBuilder closes them, track-name metadata at Finish (once the full track
 // population is known). Perfetto orders by the `ts` field, not array position, so the
-// close-time interleaving renders identically to the old batch layout.
-class ChromeTraceWriter::Impl : public TimelineBuilder::SpanObserver {
+// close-time interleaving renders identically to the old batch layout. Construction writes
+// the document header; Push events in record order and call Finish exactly once.
+class ChromeTraceWriter : public TimelineBuilder::SpanObserver {
  public:
-  Impl(std::ostream& os, const SymbolTable& symbols)
+  ChromeTraceWriter(std::ostream& os, const SymbolTable& symbols)
       : out_(os), symbols_(symbols), builder_(this) {
     os << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [";
     out_.Metadata(kThreadsPid, -1, "process_name", "threads");
@@ -247,11 +247,7 @@ class ChromeTraceWriter::Impl : public TimelineBuilder::SpanObserver {
   int64_t next_monitor_track_ = 1;
 };
 
-ChromeTraceWriter::ChromeTraceWriter(std::ostream& os, const SymbolTable& symbols)
-    : impl_(std::make_unique<Impl>(os, symbols)) {}
-ChromeTraceWriter::~ChromeTraceWriter() = default;
-void ChromeTraceWriter::Push(const Event& event) { impl_->Push(event); }
-void ChromeTraceWriter::Finish() { impl_->Finish(); }
+}  // namespace
 
 void ExportChromeTrace(std::ostream& os, const Tracer& tracer) {
   ChromeTraceWriter writer(os, tracer.symbols());
@@ -268,31 +264,6 @@ bool SaveChromeTraceFile(const std::string& path, const Tracer& tracer) {
   }
   ExportChromeTrace(file, tracer);
   return file.good();
-}
-
-ChromeStreamFile::ChromeStreamFile(const std::string& path, const SymbolTable& symbols)
-    : file_(path) {
-  if (file_) {
-    writer_ = std::make_unique<ChromeTraceWriter>(file_, symbols);
-  }
-}
-
-ChromeStreamFile::~ChromeStreamFile() = default;
-
-void ChromeStreamFile::Consume(const Event& event) {
-  if (writer_ != nullptr) {
-    writer_->Push(event);
-  }
-}
-
-bool ChromeStreamFile::Finish() {
-  if (writer_ == nullptr) {
-    return false;
-  }
-  writer_->Finish();
-  writer_.reset();
-  file_.close();
-  return file_.good();
 }
 
 }  // namespace trace

@@ -7,77 +7,30 @@
 // broadcast, preemption, YieldButNotToMe (Section 5.2) and spurious lock conflicts (Section
 // 6.1). Virtual time maps 1:1 onto the format's microsecond `ts` field.
 //
-// The core is an *incremental* writer: ChromeTraceWriter consumes one event at a time
-// (folding it through TimelineBuilder's observer mode) and emits each slice the moment it
-// closes, holding only open spans and track registries in memory. Both the batch
-// ExportChromeTrace and the streaming ChromeStreamSink drive the same writer with the same
-// event sequence, so streamed output is byte-identical to the buffered export by
-// construction — the invariant tools/ci_check.sh diffs end to end.
+// The writer folds the log one event at a time through TimelineBuilder's observer mode and
+// emits each slice the moment it closes, so slices appear in close order and memory holds only
+// open spans and track registries.
 //
 // Output is deterministic (fixed event order, fixed key order, one event per line) so golden
-// tests can pin it byte-for-byte.
+// tests and the behaviour lock can pin it byte-for-byte.
 
 #ifndef SRC_TRACE_EXPORT_CHROME_H_
 #define SRC_TRACE_EXPORT_CHROME_H_
 
-#include <fstream>
 #include <iosfwd>
-#include <memory>
 #include <string>
 
 #include "src/trace/tracer.h"
 
 namespace trace {
 
-// Incremental Chrome-trace serializer. Construction writes the document header; Push folds
-// one event (emitting any spans it completes, and instant markers immediately); Finish closes
-// spans still open at the last event's time, writes the track-name metadata, and terminates
-// the document. Push events in record order; call Finish exactly once. Propagates
-// TimelineError on a corrupt event stream. Memory is O(tracks + open spans), independent of
-// trace length.
-class ChromeTraceWriter {
- public:
-  // `symbols` is read lazily at emission time, so it may keep growing while events stream in
-  // (names are interned before any event references them). Not owned; must outlive Finish().
-  ChromeTraceWriter(std::ostream& os, const SymbolTable& symbols);
-  ~ChromeTraceWriter();
-
-  void Push(const Event& event);
-  void Finish();
-
- private:
-  class Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
-// Writes the full Chrome trace JSON document for `tracer`'s retained events to `os`.
+// Writes the full Chrome trace JSON document for `tracer`'s events to `os`. Propagates
+// TimelineError on a corrupt event log.
 void ExportChromeTrace(std::ostream& os, const Tracer& tracer);
 
 // Convenience wrapper: ExportChromeTrace to `path`. Returns false if the file cannot be opened
 // or written.
 bool SaveChromeTraceFile(const std::string& path, const Tracer& tracer);
-
-// Bounded-memory streaming export to a file. Attach to a tracer with set_sink before the run;
-// sealed segments then fold straight to disk. After the run call Tracer::FlushSink() (pushes
-// the open tail) and then Finish() here. The resulting file is byte-identical to
-// SaveChromeTraceFile of an equivalent buffered run.
-class ChromeStreamFile : public EventSink {
- public:
-  ChromeStreamFile(const std::string& path, const SymbolTable& symbols);
-  ~ChromeStreamFile() override;
-
-  // False when the file could not be opened.
-  bool ok() const { return static_cast<bool>(file_); }
-
-  void Consume(const Event& event) override;
-
-  // Terminates the document and closes the file; returns false on a write error.
-  bool Finish();
-
- private:
-  std::ofstream file_;
-  std::unique_ptr<ChromeTraceWriter> writer_;
-};
 
 }  // namespace trace
 

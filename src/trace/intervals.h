@@ -129,7 +129,8 @@ class TimelineError : public std::runtime_error {
 //     this is what BuildTimeline does.
 //   * observer: completed spans are delivered through the SpanObserver as each one closes and
 //     nothing is accumulated, so memory stays O(live threads + monitors) no matter how long
-//     the trace is. The streaming Chrome exporter (export_chrome.h) is built on this.
+//     the trace is. The Chrome exporter (export_chrome.h) is built on this: it writes each
+//     span as it closes, which fixes the line order of its file.
 //
 // Open state (a thread's current phase, in-flight monitor/CV waits, current lock holders)
 // lives inside the builder either way; Finish() closes it at the last event's time, exactly

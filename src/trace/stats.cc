@@ -56,7 +56,7 @@ Summary Summarize(const Tracer& tracer, const StatsOptions& options) {
   Usec begin = options.window_begin;
   Usec end = options.window_end;
   if (end <= begin) {
-    end = tracer.retained() == 0 ? begin : tracer.last_time();
+    end = tracer.size() == 0 ? begin : tracer.last_time();
   }
 
   Summary s;

@@ -107,7 +107,10 @@ void Tracer::RecordSlow(const Event& event) {
       (seg->count > 0 && static_cast<uint64_t>(event.time_us) -
                                  static_cast<uint64_t>(seg->last_time) >
                              0xffffffffull)) {
-    seg = RollSegment();
+    std::unique_ptr<internal::Segment> fresh = NewSegment();
+    fresh->Reset(size_);
+    seg = tail_ = fresh.get();
+    segments_.push_back(std::move(fresh));
   }
   uint32_t dt = 0;
   if (seg->count == 0) {
@@ -149,61 +152,8 @@ std::unique_ptr<internal::Segment> Tracer::NewSegment() {
   return std::make_unique<internal::Segment>();
 }
 
-internal::Segment* Tracer::RollSegment() {
-  if (sink_ != nullptr) {
-    // Streaming: every complete segment folds to the sink and recycles, so in steady state
-    // exactly one segment (the open tail) is live.
-    for (std::unique_ptr<internal::Segment>& seg : segments_) {
-      DrainSegmentToSink(*seg);
-      Recycle(std::move(seg));
-    }
-    segments_.clear();
-  }
-  std::unique_ptr<internal::Segment> seg = NewSegment();
-  seg->Reset(size_);
-  tail_ = seg.get();
-  segments_.push_back(std::move(seg));
-  if (ring_limit_ > 0) {
-    // Flight recorder: evict whole segments from the front while the events behind them still
-    // meet the retention floor. The open (empty) tail never counts toward the floor.
-    while (segments_.size() > 1 &&
-           retained() - segments_.front()->count >= ring_limit_) {
-      dropped_ += segments_.front()->count;
-      Recycle(std::move(segments_.front()));
-      segments_.erase(segments_.begin());
-    }
-  }
-  return tail_;
-}
-
-void Tracer::DrainSegmentToSink(const internal::Segment& seg) {
-  Usec prev = seg.base_time;
-  for (uint32_t i = 0; i < seg.count; ++i) {
-    Event e = seg.Decode(i, prev);
-    prev = e.time_us;
-    sink_->Consume(e);
-  }
-  streamed_ += seg.count;
-}
-
-void Tracer::FlushSink() {
-  if (sink_ == nullptr) {
-    return;
-  }
-  for (std::unique_ptr<internal::Segment>& seg : segments_) {
-    DrainSegmentToSink(*seg);
-    Recycle(std::move(seg));
-  }
-  segments_.clear();
-  tail_ = nullptr;
-}
-
 EventRange Tracer::view(size_t from) const {
-  const size_t lo = first_retained();
-  if (from < lo) {
-    from = lo;
-  }
-  if (from >= size_ || segments_.empty()) {
+  if (from >= size_) {
     return EventRange();
   }
   // Last segment whose first_index <= from.
@@ -238,7 +188,7 @@ EventRange Tracer::view(size_t from) const {
 
 std::vector<Event> Tracer::CopyEvents() const {
   std::vector<Event> out;
-  out.reserve(retained());
+  out.reserve(size_);
   for (const Event& e : view()) {
     out.push_back(e);
   }
@@ -280,8 +230,6 @@ void Tracer::Clear() {
   segments_.clear();
   tail_ = nullptr;
   size_ = 0;
-  dropped_ = 0;
-  streamed_ = 0;
 }
 
 SegmentArena Tracer::TakeEventBuffer() {
@@ -294,8 +242,6 @@ SegmentArena Tracer::TakeEventBuffer() {
   freelist_.clear();
   tail_ = nullptr;
   size_ = 0;
-  dropped_ = 0;
-  streamed_ = 0;
   return arena;
 }
 
@@ -307,11 +253,6 @@ void Tracer::AdoptEventBuffer(SegmentArena arena) {
 }
 
 void Tracer::Dump(std::ostream& os, Usec from_us, Usec to_us, size_t limit) const {
-  if (first_retained() > 0) {
-    os << "... " << first_retained() << " earlier event(s) "
-       << (streamed_ > 0 ? "streamed out" : "dropped by the ring") << " (showing "
-       << retained() << " retained of " << size_ << " recorded)\n";
-  }
   size_t emitted = 0;
   size_t suppressed = 0;
   for (const Event& e : view()) {

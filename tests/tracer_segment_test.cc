@@ -1,25 +1,17 @@
 // Unit tests for the segmented trace log (src/trace/tracer.h): packed-record round-trips
-// across segment seams, the wide-record escape, cursor positioning, the ring and streaming
-// retention modes, window/arena resets, checkpoint-style truncate-and-diverge, and byte
-// identity of the streaming Chrome export against the buffered one.
+// across segment seams, the wide-record escape, cursor positioning, window/arena resets, and
+// checkpoint-style truncate-and-diverge.
 //
 // The explorer's equivalence suites (ctest -L checkpoint / explore) prove the log behaves
 // under real checkpoint-and-branch workloads; these tests pin the tracer primitives those
 // suites rest on, at exact segment geometry (capacity 1024) the end-to-end runs only hit by
 // accident.
 
-#include <fstream>
 #include <random>
-#include <sstream>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "src/pcr/monitor.h"
-#include "src/pcr/runtime.h"
-#include "src/trace/export_chrome.h"
 #include "src/trace/tracer.h"
 
 namespace {
@@ -106,9 +98,6 @@ TEST(SegmentedTracerTest, RollsSegmentsAtCapacityWithoutLoss) {
     tracer.Record(source.back());
   }
   EXPECT_EQ(tracer.size(), source.size());
-  EXPECT_EQ(tracer.retained(), source.size());
-  EXPECT_EQ(tracer.dropped(), 0u);
-  EXPECT_EQ(tracer.streamed(), 0u);
   EXPECT_EQ(tracer.last_time(), source.back().time_us);
   ExpectMatches(tracer, source);
 }
@@ -179,7 +168,6 @@ TEST(SegmentedTracerTest, TruncateToBoundaryAndMidSegmentThenRerecordIsIdentity)
                      size_t(500), size_t(1), size_t(0)}) {
     tracer.TruncateTo(cut);
     ASSERT_EQ(tracer.size(), cut);
-    ASSERT_EQ(tracer.retained(), cut);
     if (cut > 0) {
       EXPECT_EQ(tracer.last_time(), source[cut - 1].time_us);
     } else {
@@ -212,77 +200,6 @@ TEST(SegmentedTracerTest, TruncateThenDivergentAppendReadsAsPrefixPlusNewSuffix)
   ExpectMatches(tracer, expected);
 }
 
-TEST(SegmentedTracerTest, RingModeEvictsWholeSegmentsAndCountsDropped) {
-  const size_t limit = 100;
-  const std::vector<Event> source = RandomSource(5000, 5);
-  Tracer tracer;
-  tracer.set_ring_limit(limit);
-  for (const Event& e : source) {
-    tracer.Record(e);
-  }
-  EXPECT_EQ(tracer.size(), source.size());
-  EXPECT_GE(tracer.retained(), limit);
-  // Eviction is whole-segment and runs when a segment seals, so the retained count can exceed
-  // the limit by the front segment kept to cover it plus the still-open tail — two segments'
-  // worth at most. Bounded memory is the contract, not an exact count.
-  EXPECT_LE(tracer.retained(), limit + 2 * kCap);
-  EXPECT_EQ(tracer.dropped(), source.size() - tracer.retained());
-  EXPECT_EQ(tracer.first_retained(), tracer.dropped());
-  // The retained tail is exactly the source suffix, and global indices are stable (they keep
-  // counting from the true start of the run, not from the eviction point).
-  size_t i = tracer.first_retained();
-  for (trace::EventCursor c = tracer.view().begin(); c != tracer.view().end(); ++c) {
-    EXPECT_EQ(c.index(), i);
-    ExpectSame(*c, source[i], i);
-    ++i;
-  }
-  EXPECT_EQ(i, source.size());
-}
-
-TEST(SegmentedTracerTest, DumpReportsRingDroppedEvents) {
-  Tracer tracer;
-  tracer.set_ring_limit(10);
-  for (size_t i = 0; i < 3 * kCap; ++i) {
-    tracer.Record(Simple(static_cast<Usec>(i)));
-  }
-  ASSERT_GT(tracer.dropped(), 0u);
-  std::ostringstream os;
-  tracer.Dump(os, 0, static_cast<Usec>(3 * kCap));
-  const std::string dump = os.str();
-  EXPECT_NE(dump.find("dropped by the ring"), std::string::npos) << dump.substr(0, 200);
-  EXPECT_NE(dump.find(std::to_string(tracer.dropped())), std::string::npos);
-}
-
-class CollectingSink : public trace::EventSink {
- public:
-  void Consume(const Event& event) override { events.push_back(event); }
-  std::vector<Event> events;
-};
-
-TEST(SegmentedTracerTest, StreamingSinkReceivesEveryEventInOrder) {
-  const std::vector<Event> source = RandomSource(3 * kCap + 123, 11);
-  Tracer tracer;
-  CollectingSink sink;
-  tracer.set_sink(&sink);
-  for (const Event& e : source) {
-    tracer.Record(e);
-  }
-  // Sealed segments have already drained; memory holds at most the open tail.
-  EXPECT_LE(tracer.retained(), kCap);
-  tracer.FlushSink();
-  EXPECT_EQ(tracer.retained(), 0u);
-  EXPECT_EQ(tracer.streamed(), source.size());
-  EXPECT_EQ(tracer.size(), source.size());
-  ASSERT_EQ(sink.events.size(), source.size());
-  for (size_t i = 0; i < source.size(); ++i) {
-    ExpectSame(sink.events[i], source[i], i);
-  }
-
-  std::ostringstream os;
-  tracer.Dump(os, 0, source.back().time_us + 1);
-  EXPECT_NE(os.str().find("streamed out"), std::string::npos) << os.str().substr(0, 200);
-}
-
 TEST(SegmentedTracerTest, ClearResetsWindowStartAndKeepsSymbols) {
   Tracer tracer;
   const uint32_t sym = tracer.symbols().Intern("worker");
@@ -291,16 +208,14 @@ TEST(SegmentedTracerTest, ClearResetsWindowStartAndKeepsSymbols) {
   tracer.Record(e);
   tracer.Clear();
   EXPECT_EQ(tracer.size(), 0u);
-  EXPECT_EQ(tracer.retained(), 0u);
   EXPECT_EQ(tracer.last_time(), 0);
   // The runtime caches interned ids in Tcbs and monitors, so Clear must keep them valid.
   EXPECT_EQ(tracer.symbols().Name(sym), "worker");
 }
 
 TEST(SegmentedTracerTest, AdoptedArenaTracerIsObservationallyIdenticalToFresh) {
-  // Dirty a tracer well past one segment, with a ring and wide records.
+  // Dirty a tracer well past one segment, with wide records.
   Tracer donor;
-  donor.set_ring_limit(64);
   for (const Event& e : RandomSource(3 * kCap, 21)) {
     donor.Record(e);
   }
@@ -312,8 +227,6 @@ TEST(SegmentedTracerTest, AdoptedArenaTracerIsObservationallyIdenticalToFresh) {
   Tracer fresh;
 
   EXPECT_EQ(recycled.size(), 0u);
-  EXPECT_EQ(recycled.dropped(), 0u);
-  EXPECT_EQ(recycled.streamed(), 0u);
   EXPECT_EQ(recycled.last_time(), 0);
 
   const std::vector<Event> source = RandomSource(2 * kCap + 99, 22);
@@ -322,7 +235,6 @@ TEST(SegmentedTracerTest, AdoptedArenaTracerIsObservationallyIdenticalToFresh) {
     fresh.Record(e);
   }
   EXPECT_EQ(recycled.size(), fresh.size());
-  EXPECT_EQ(recycled.retained(), fresh.retained());
   EXPECT_EQ(recycled.last_time(), fresh.last_time());
   const std::vector<Event> a = recycled.CopyEvents();
   const std::vector<Event> b = fresh.CopyEvents();
@@ -330,80 +242,6 @@ TEST(SegmentedTracerTest, AdoptedArenaTracerIsObservationallyIdenticalToFresh) {
   for (size_t i = 0; i < a.size(); ++i) {
     ExpectSame(a[i], b[i], i);
   }
-}
-
-// With a ring armed (Config::trace_ring_events), a fiber dying of an uncaught exception makes
-// the scheduler dump the retained tail to stderr — the always-on crash history for long runs.
-TEST(FlightRecorderTest, UncaughtFiberExceptionDumpsRetainedTail) {
-  pcr::Config config;
-  config.trace_ring_events = 256;
-  pcr::Runtime rt(config);
-  rt.ForkDetached([] {
-    pcr::thisthread::Compute(100);
-    throw std::runtime_error("boom in fiber");
-  });
-  testing::internal::CaptureStderr();
-  rt.RunUntilQuiescent(pcr::kUsecPerSec);
-  const std::string err = testing::internal::GetCapturedStderr();
-  EXPECT_EQ(rt.scheduler().uncaught_exits(), 1);
-  EXPECT_NE(err.find("pcr: flight recorder (uncaught fiber exception"), std::string::npos)
-      << err;
-  // The dump carries actual history, not just the header.
-  EXPECT_NE(err.find("fork"), std::string::npos) << err;
-}
-
-TEST(FlightRecorderTest, NoRingMeansNoDump) {
-  pcr::Runtime rt;  // trace_ring_events = 0: flight recorder disarmed
-  rt.ForkDetached([] { throw std::runtime_error("boom in fiber"); });
-  testing::internal::CaptureStderr();
-  rt.RunUntilQuiescent(pcr::kUsecPerSec);
-  const std::string err = testing::internal::GetCapturedStderr();
-  EXPECT_EQ(rt.scheduler().uncaught_exits(), 1);
-  EXPECT_EQ(err.find("flight recorder"), std::string::npos) << err;
-}
-
-// The CLI-level twin of this check lives in tools/ci_check.sh (pcrsim --chrome-stream vs
-// --chrome-trace); this covers the library path with a real runtime trace.
-TEST(SegmentedTracerTest, StreamedChromeExportMatchesBufferedByteForByte) {
-  pcr::Config config;
-  config.trace_events = true;
-  pcr::Runtime rt(config);
-  pcr::MonitorLock mu(rt.scheduler(), "mu");
-  for (int t = 0; t < 3; ++t) {
-    rt.ForkDetached([&] {
-      for (int i = 0; i < 50; ++i) {
-        {
-          pcr::MonitorGuard guard(mu);
-          pcr::thisthread::Compute(5);
-        }
-        pcr::thisthread::Yield();
-      }
-    });
-  }
-  rt.RunUntilQuiescent(60 * pcr::kUsecPerSec);
-  ASSERT_GT(rt.tracer().size(), 0u);
-
-  std::ostringstream buffered;
-  trace::ExportChromeTrace(buffered, rt.tracer());
-
-  Tracer streamer;
-  const std::string path = "tracer_segment_stream_test.json";
-  trace::ChromeStreamFile sink(path, streamer.symbols());
-  ASSERT_TRUE(sink.ok());
-  streamer.symbols() = rt.tracer().symbols();
-  streamer.set_sink(&sink);
-  for (const Event& e : rt.tracer().view()) {
-    streamer.Record(e);
-  }
-  streamer.FlushSink();
-  streamer.set_sink(nullptr);
-  ASSERT_TRUE(sink.Finish());
-
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in.good());
-  std::ostringstream streamed;
-  streamed << in.rdbuf();
-  EXPECT_EQ(streamed.str(), buffered.str());
 }
 
 }  // namespace

@@ -21,7 +21,6 @@
 #include <cstring>
 #include <filesystem>
 #include <utility>
-#include <iostream>
 #include <string>
 #include <vector>
 
@@ -41,7 +40,6 @@ struct Args {
   std::string replay;
   std::string fault_plan;        // --fault-plan: base fault::Plan swept across schedules
   std::string chrome_trace_dir;  // --chrome-trace-on-failure: export failing schedules here
-  size_t trace_ring = 0;  // --trace-ring: replay failures with a ring-armed capture and dump
   bool all = false;
   bool list = false;
   bool require_bug = false;
@@ -67,8 +65,6 @@ void Usage() {
                "                [--workers=N] [--replay=REPRO] [--require-bug] [--verbose]\n"
                "                [--profile] [--no-checkpoint] [--no-dpor]\n"
                "                [--chrome-trace-on-failure=DIR]\n"
-               "                [--trace-ring=N]      replay each failure with a flight-recorder\n"
-               "                                      ring of N events and dump the retained tail\n"
                "                [--fault-plan=SPEC]   e.g. \"f1,rate=0.01,sites=notify-lost\"\n"
                "                                      (searches fault x schedule space; failing\n"
                "                                      repro strings then pin their fault plan)\n"
@@ -102,14 +98,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->no_dpor = true;
     } else if (const char* v = value("--chrome-trace-on-failure=")) {
       args->chrome_trace_dir = v;
-    } else if (const char* v = value("--trace-ring=")) {
-      char* end = nullptr;
-      long n = std::strtol(v, &end, 10);
-      if (*v == '\0' || *end != '\0' || n <= 0) {
-        std::fprintf(stderr, "pcrcheck: --trace-ring expects a positive integer, got '%s'\n", v);
-        return false;
-      }
-      args->trace_ring = static_cast<size_t>(n);
     } else if (arg == "--campaign-examples") {
       args->campaign_examples = true;
     } else if (const char* v = value("--campaign=")) {
@@ -237,16 +225,6 @@ bool RunScenario(const explore::BugScenario& scenario, const Args& args) {
       } else {
         std::fprintf(stderr, "  could not write chrome trace %s\n", path.c_str());
       }
-    }
-    if (args.trace_ring > 0) {
-      // Flight-recorder triage: re-run the failing schedule with a bounded ring and print the
-      // crash-adjacent tail — what an operator would see from a long run that died.
-      trace::Tracer capture;
-      capture.set_ring_limit(args.trace_ring);
-      explorer.Replay(failure.repro, scenario.body, &capture);
-      std::printf("  flight recorder tail (ring=%zu, %zu retained of %zu recorded):\n",
-                  args.trace_ring, capture.retained(), capture.size());
-      capture.Dump(std::cout, 0, capture.last_time() + 1, capture.retained());
     }
     ++failure_index;
   }
