@@ -299,6 +299,33 @@ TEST(SchedulerTest, ForkFailureErrorModeThrows) {
   EXPECT_TRUE(fork_failed);
 }
 
+// A failed FORK names its cause, and cites the live count and the limit only when the limit
+// is the cause: an injected failure is not a thread-limit problem.
+TEST(SchedulerTest, ForkFailedMessageCitesTheLimitOnlyForThreadLimit) {
+  struct FailEveryFork : FaultInjector {
+    uint64_t OnFaultPoint(FaultSite site) override { return site == FaultSite::kFork ? 1 : 0; }
+  } injector;
+  Runtime injected(TestConfig());
+  injected.scheduler().set_fault_injector(&injector);
+  try {
+    injected.Fork([] {});
+    ADD_FAILURE() << "the injected FORK failure did not throw";
+  } catch (const ForkFailed& e) {
+    EXPECT_STREQ(e.what(), "pcr: FORK failed (injected)");
+  }
+
+  Config config = TestConfig();
+  config.max_threads = 1;
+  Runtime limited(config);
+  limited.Fork([] {});
+  try {
+    limited.Fork([] {});
+    ADD_FAILURE() << "the FORK past the thread limit did not throw";
+  } catch (const ForkFailed& e) {
+    EXPECT_STREQ(e.what(), "pcr: FORK failed (thread-limit): 1 live threads at limit 1");
+  }
+}
+
 TEST(SchedulerTest, ForkFailureWaitModeBlocksUntilResourcesFree) {
   Config config = TestConfig();
   config.max_threads = 3;  // parent + 2 children live at once
