@@ -314,8 +314,9 @@ class Explorer::CheckpointCursor : public Explorer::GroupCursor {
       Resume();
     }
     if (!exec_.finished()) {
-      // The last branch was pruned at its pause point: kill the simulated threads from the
-      // host, then unwind the suspended body via CheckpointAbort.
+      // The last branch was pruned at its pause point: shut the simulated threads down from
+      // the host (with the hook installed, Shutdown discards them), then unwind the suspended
+      // body via CheckpointAbort.
       run_.rt.Shutdown();
       run_.rt.scheduler().RequestCheckpointAbort();
       Resume();

@@ -56,6 +56,12 @@ class Fiber {
   // virtual memory for the maximum possible stack size of each thread", which is why forked
   // sleepers became too expensive (Section 5.1); this makes that cost observable.
   size_t stack_reserved_bytes() const { return stack_.reserved_bytes(); }
+  // True when `address` lies in this fiber's usable stack.
+  bool StackContains(const void* address) const {
+    const auto base = reinterpret_cast<uintptr_t>(stack_.base());
+    const auto p = reinterpret_cast<uintptr_t>(address);
+    return p >= base && p - base < stack_.size();
+  }
 
   // Identifies the fiber in misuse diagnostics (the scheduler sets the owning ThreadId).
   void set_debug_id(uint32_t id) { debug_id_ = id; }

@@ -125,7 +125,24 @@ trace::Log2Histogram* Scheduler::MetricHistogram(std::string_view name) {
   return nullptr;
 }
 
-Scheduler::~Scheduler() { Shutdown(); }
+Scheduler::~Scheduler() {
+  Shutdown();
+  // A discarding Shutdown leaves its fibers suspended mid-body. Release them while the stack
+  // pool is alive. The Checkpointables still registered on their frames never see their
+  // destructors, so they are torn down first, as Checkpoint::Restore does before it overwrites
+  // frames.
+  for (auto& tcb : tcbs_) {
+    if (!tcb->fiber) {
+      continue;
+    }
+    for (Checkpointable* object : checkpointables_) {
+      if (tcb->fiber->StackContains(object->CheckpointStorage())) {
+        object->CheckpointTeardown();
+      }
+    }
+    tcb->fiber.reset();
+  }
+}
 
 void Scheduler::ThrowUnknownThread(ThreadId tid) const {
   throw UsageError("pcr: unknown thread id " + std::to_string(tid));
@@ -1430,12 +1447,20 @@ void Scheduler::Shutdown() {
     return;
   }
   shutting_down_ = true;
+  // Under a checkpoint walk a run ends only for the next restore to overwrite it or for its
+  // runtime to release it, so live threads are discarded where they stand: resuming each to
+  // throw costs a pass of the C++ unwinder. An exception in flight on this OS thread (a fiber
+  // paused mid-unwind) is counted per OS thread, so it must finish unwinding: that keeps the kill.
+  const bool discard = checkpoint_hook_ && std::uncaught_exceptions() == 0;
   for (auto& tcb : tcbs_) {
     Tcb& t = *tcb;
-    if (t.finished || !t.fiber || !t.fiber->started()) {
+    if (discard || t.finished || !t.fiber || !t.fiber->started()) {
       t.state = ThreadState::kDone;
       t.finished = true;
-      RetireFiber(t);
+      t.processor = -1;
+      if (!discard) {
+        RetireFiber(t);
+      }
       continue;
     }
     ThreadId previous = current_tid_;

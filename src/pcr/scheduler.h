@@ -377,9 +377,16 @@ class Scheduler : private SchedulerRunState {
   RunStatus RunUntilQuiescent(Usec max_duration);
   QuiescentInfo quiescent_info() const;
 
-  // Unwinds every live fiber by making its next blocking/compute call throw ThreadKilled.
-  // Idempotent; called by the Runtime destructor. Must run before any Monitor/Condition the
-  // threads may still reference is destroyed.
+  // Ends every live thread: each ends done, and none is live, ready or running. Idempotent;
+  // called by the Runtime destructor. Must run before any Monitor/Condition the threads may
+  // still reference is destroyed. Two ways:
+  //  * Kill (the default): resumes each live fiber so that its blocking/compute call throws
+  //    ThreadKilled and the destructors on its stack run.
+  //  * Discard, when a checkpoint hook is installed and no exception is in flight on this OS
+  //    thread: marks each thread done where it stands and never unwinds its frames. The fibers
+  //    stay with their threads. The next Checkpoint::Restore rewinds or drops them; otherwise
+  //    the destructor tears down the Checkpointables still registered on their frames and
+  //    releases the stacks. Any other heap a discarded frame owns leaks.
   void Shutdown();
 
   // ---- Internal API for Monitor / Condition / InterruptSource ----
@@ -477,7 +484,11 @@ class Scheduler : private SchedulerRunState {
   // Installs (or clears) the checkpoint pause hook. While set, CheckpointPause() suspends the
   // run back to the exec-fiber orchestrator at perturber decision boundaries; the hook runs on
   // the scheduler's execution context (either the host/exec frame, for PickNext pauses, or the
-  // RunFiber frame after a sim fiber parks itself, for ForcePreempt pauses).
+  // RunFiber frame after a sim fiber parks itself, for ForcePreempt pauses). While set,
+  // Shutdown discards live threads instead of unwinding them, so install it only to drive a
+  // run whose end a restore overwrites or the runtime releases, over a body whose threads'
+  // frames own heap only through registered Checkpointables (explore::Explorer's checkpoint
+  // walk).
   void set_checkpoint_hook(std::function<void()> hook) { checkpoint_hook_ = std::move(hook); }
 
   // Pauses the run at the current decision point. From a simulated thread this parks the
@@ -604,9 +615,9 @@ class Scheduler : private SchedulerRunState {
   std::vector<ThreadId> random_scratch_;  // RandomReadyThread candidates (reused)
   std::vector<std::vector<TimerEntry>> timer_bucket_pool_;
 
-  // Fibers release their stacks into this pool when destroyed; Shutdown() (which the
-  // destructor runs before any member is torn down) destroys every fiber, so member order
-  // relative to tcbs_ does not matter.
+  // Fibers release their stacks into this pool when destroyed. The destructor releases every
+  // fiber before any member is torn down (Shutdown retires the fibers it kills, and the
+  // destructor releases those it discards), so member order relative to tcbs_ does not matter.
   StackPool own_stack_pool_;
   StackPool* stack_pool_ = nullptr;  // == config_.stack_pool or &own_stack_pool_
 

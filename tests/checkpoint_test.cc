@@ -23,6 +23,7 @@
 #include "src/pcr/checkpoint.h"
 #include "src/pcr/monitor.h"
 #include "src/pcr/runtime.h"
+#include "tests/allocation_counter.h"
 
 namespace {
 
@@ -156,6 +157,79 @@ TEST(CheckpointEquivalenceTest, RunDeadlineRewindsWithTheRunLoop) {
   ExpectSameResult(with, without);
   EXPECT_TRUE(with.failures.empty());
   EXPECT_TRUE(without.failures.empty());
+}
+
+// A checkpoint-safe body whose thread owns runtime objects on its own frame: it blocks for good
+// in WAIT on a monitor and CV declared there, so it still owns both when the body shuts the
+// runtime down. Two more threads contend on the body's monitor past the end of the run, which
+// gives the explorer decisions to branch on. After its own Shutdown the body checks that the
+// threads ended, whether Shutdown killed them (from zero) or discarded them (checkpointed).
+void FrameObjectsAtShutdownBody(pcr::Runtime& rt, explore::TestContext& ctx) {
+  pcr::MonitorLock shared(rt.scheduler(), "shared");
+  int entries = 0;
+  rt.Fork([&rt] {
+    pcr::MonitorLock own(rt.scheduler(), "monitor-on-a-blocked-frame");
+    pcr::Condition never(own, "condition-on-a-blocked-frame", -1);
+    pcr::MonitorGuard guard(own);
+    never.Wait();  // nobody notifies
+  });
+  for (int t = 0; t < 2; ++t) {
+    rt.Fork([&shared, &entries] {
+      for (int i = 0; i < 40; ++i) {
+        pcr::MonitorGuard g(shared);
+        pcr::thisthread::Compute(90);
+        ++entries;
+      }
+    });
+  }
+  rt.RunFor(5 * pcr::kUsecPerMsec);
+  rt.Shutdown();
+  ctx.Check(rt.scheduler().live_threads() == 0, "a thread is live after Shutdown");
+  ctx.Check(rt.quiescent_info().all_threads_done, "a thread is not done after Shutdown");
+}
+
+ExploreOptions FrameObjectsAtShutdownOptions() {
+  ExploreOptions options;
+  options.scenario_name = "frame_objects_at_shutdown";
+  options.budget = 300;
+  options.base_config.quantum = pcr::kUsecPerMsec;
+  options.workers = 1;
+  return options;
+}
+
+// Under a checkpoint walk Shutdown discards the threads instead of killing them, and must still
+// leave every thread done and none live, as the kill does: the body's own checks fail otherwise.
+TEST(CheckpointEquivalenceTest, ShutdownWithFrameObjectsMatchesFromZero) {
+  auto run = [](bool checkpoint) {
+    ExploreOptions options = FrameObjectsAtShutdownOptions();
+    options.checkpoint = checkpoint;
+    return Explorer(options).Explore(FrameObjectsAtShutdownBody);
+  };
+  ExploreResult with = run(true);
+  ExploreResult without = run(false);
+  ExpectSameResult(with, without);
+  EXPECT_FALSE(with.baseline.failed);
+  EXPECT_TRUE(with.failures.empty());
+  if (pcr::Checkpoint::Supported()) {
+    EXPECT_GT(with.profile.checkpoint_resumes, 0) << "no run was checkpointed";
+  }
+}
+
+// A discarded frame never runs its destructors. The heap its monitor and CV own is freed only
+// because Checkpointables still registered on discarded frames are torn down before their
+// stacks are released (by a restore, or with the runtime). Checkpoints are off under ASan, so
+// LeakSanitizer never sees this path: this count is its leak check.
+TEST(CheckpointShutdownTest, DiscardedFramesLeaveNoHeapBehind) {
+  if (!pcr::Checkpoint::Supported()) {
+    GTEST_SKIP() << "checkpointing is unsupported in this build";
+  }
+  auto explore = [] {
+    Explorer(FrameObjectsAtShutdownOptions()).Explore(FrameObjectsAtShutdownBody);
+  };
+  explore();  // warm-up: this thread's checkpoint bookkeeping reaches its capacity
+  const testing_support::AllocationCounts counts = testing_support::CountAllocations(explore);
+  EXPECT_GT(counts.news, 0);
+  EXPECT_EQ(counts.net(), 0) << counts.news << " news, " << counts.deletes << " deletes";
 }
 
 TEST(CheckpointGuardTest, RefusesSnapshotWhileAnExceptionIsInFlight) {

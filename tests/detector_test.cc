@@ -379,7 +379,7 @@ TEST(TraceFoldTest, WarmFoldAllocatesNothingPerRun) {
     }
   };
   run_all();  // warm-up: one run per scenario
-  EXPECT_EQ(testing_support::CountAllocations(run_all), 0);
+  EXPECT_EQ(testing_support::CountAllocations(run_all).news, 0);
 
   // The allocation counter itself works.
   std::vector<Finding> findings;
@@ -387,7 +387,7 @@ TEST(TraceFoldTest, WarmFoldAllocatesNothingPerRun) {
               fold.Reset(true, 7);
               fold.Feed(golden.tracer());  // far ids and a second cell: past the warm capacity
               findings = fold.Findings();
-            }),
+            }).news,
             0);
   ExpectSameFindings(findings, explore::AnalyzeTrace(golden.tracer()));
 }

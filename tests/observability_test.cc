@@ -482,10 +482,11 @@ TEST(MetricsTest, ConstructionAllocatesTheSameWithMetricsOnAndOff) {
     pcr::Config config;
     config.metrics = metrics;
     return testing_support::CountAllocations([&config] {
-      pcr::Runtime rt(config);
-      pcr::MonitorLock mu(rt.scheduler(), "mu");
-      pcr::Condition cv(mu, "cv");
-    });
+             pcr::Runtime rt(config);
+             pcr::MonitorLock mu(rt.scheduler(), "mu");
+             pcr::Condition cv(mu, "cv");
+           })
+        .news;
   };
   const long off = construct(false);
   EXPECT_GT(off, 0);
