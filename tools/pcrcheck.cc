@@ -15,6 +15,8 @@
 // 1 otherwise; 2 on usage errors.
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -137,10 +139,12 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       }
       args->budget = static_cast<int>(n);
     } else if (const char* v = value("--seed=")) {
+      // A leading digit: strtoull would also take a sign, and wrap "-1" to 2^64 - 1.
       char* end = nullptr;
+      errno = 0;
       uint64_t n = std::strtoull(v, &end, 10);
-      if (*v == '\0' || *end != '\0') {
-        std::fprintf(stderr, "pcrcheck: --seed expects an integer, got '%s'\n", v);
+      if (!std::isdigit(static_cast<unsigned char>(*v)) || *end != '\0' || errno == ERANGE) {
+        std::fprintf(stderr, "pcrcheck: --seed expects an integer >= 0, got '%s'\n", v);
         return false;
       }
       args->seed = n;
