@@ -87,7 +87,9 @@ struct ExploreOptions {
   // Results are byte-identical either way; this only changes how they are computed. Ignored
   // (treated as false) in builds where pcr::Checkpoint::Supported() is false — ucontext fibers
   // or sanitizers. Turn off for bodies that keep non-checkpointable state outside the runtime
-  // (see BugScenario::checkpoint_safe).
+  // (see BugScenario::checkpoint_safe). A checkpointed run's Shutdown discards the body's live
+  // threads without unwinding them, so their frames may own heap only through registered
+  // Checkpointables.
   bool checkpoint = true;
   // DPOR-style leaf pruning (dpor.h): pre-simulate each candidate leaf's decision stream over
   // its executed sibling's consultation log and skip leaves that are provably the same

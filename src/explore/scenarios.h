@@ -26,7 +26,9 @@ struct BugScenario {
   // all run-affecting state must live in the body's frame, in runtime objects, or in
   // registered Checkpointables. Bodies holding state the checkpoint cannot rewind (globals,
   // heap side tables, non-trivially-copyable WeakCells) must clear this; registration then
-  // forces options.checkpoint off so they always run from zero.
+  // forces options.checkpoint off so they always run from zero. A checkpointed run's threads
+  // may be discarded at Shutdown without unwinding (pcr::Scheduler::Shutdown), so in a
+  // checkpoint-safe body a thread's frames may own heap only through registered Checkpointables.
   bool checkpoint_safe = true;
   ExploreOptions options;      // tuned defaults; callers may override budget/seed
   TestBody body;

@@ -40,8 +40,9 @@ void Watchdog::Start(pcr::Runtime& rt) {
   pcr::ForkOptions fork_options;
   fork_options.name = "watchdog";
   fork_options.priority = options_.priority;
-  // The daemon dies with the runtime: Sleep throws ThreadKilled at shutdown and the fiber
-  // unwinds out of the loop.
+  // The daemon dies with the runtime: at shutdown Sleep throws ThreadKilled and the fiber
+  // unwinds out of the loop, or, under a checkpoint walk, the fiber is discarded where it sleeps.
+  // Its frame owns no heap, so neither way leaks.
   daemon_tid_ = rt.ForkDetached(
       [this, &rt] {
         for (;;) {

@@ -14,6 +14,10 @@
 //   * Only state reachable from the Scheduler plus registered Checkpointables is captured.
 //     Scenario bodies must keep their mutable state on checkpointed stacks (the exec fiber's
 //     stack or simulated-thread stacks) — heap state owned from the host frame is invisible.
+//   * While a checkpoint hook is installed, Scheduler::Shutdown discards live threads instead
+//     of unwinding them, and Restore rewinds or drops their fibers as it finds them. A frame
+//     overwritten or released that way never runs its destructors, so a simulated thread's
+//     frames may own heap only through registered Checkpointables, whose teardown frees it.
 //   * Supported() is false under ASan/TSan (fake-stack bookkeeping cannot be snapshotted) and
 //     on the ucontext fiber backend (ucontext_t is not relocatable-by-memcpy in general).
 //     Callers fall back to from-zero replay.

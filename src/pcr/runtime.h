@@ -11,9 +11,11 @@
 //   trace::Summary s = trace::Summarize(rt.tracer());
 //
 // Threads are fibers on a virtual clock; see scheduler.h for the model. The Runtime destructor
-// unwinds all live threads (they see ThreadKilled from their next blocking call), so it must be
-// destroyed *before* any monitors/CVs its threads still reference — in practice: declare the
-// Runtime after them, or call Shutdown() explicitly first.
+// shuts down all live threads, so it must be destroyed *before* any monitors/CVs its threads
+// still reference — in practice: declare the Runtime after them, or call Shutdown() explicitly
+// first. Shutdown normally unwinds each live thread (it sees ThreadKilled from its blocking
+// call). Under a checkpoint walk (Scheduler::set_checkpoint_hook) it discards them instead,
+// without running the destructors on their stacks (see Scheduler::Shutdown).
 
 #ifndef SRC_PCR_RUNTIME_H_
 #define SRC_PCR_RUNTIME_H_
