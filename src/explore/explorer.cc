@@ -308,8 +308,7 @@ class Explorer::CheckpointCursor : public Explorer::GroupCursor {
     }
     if (std::uncaught_exceptions() > 0) {
       // Advance threw ExceptionInFlight. Finish the paused run without further pauses, before
-      // the harness takes the trace buffer back. Shutting it down instead would throw
-      // ThreadKilled out of the fiber's destructor that is mid-unwind.
+      // the harness takes the trace buffer back.
       run_.recorder.set_segment_hook(nullptr);
       Resume();
     }

@@ -103,10 +103,12 @@ struct Checkpoint::State {
     CheckpointedObjectState state;
   };
 
+  explicit State(const SchedulerRunState& run) : scheduler(run) {}
+
   static void SaveFiber(const Fiber& fiber, FiberImage* image);
   static void RestoreFiber(Fiber& fiber, const FiberImage& image);
 
-  SchedulerRunState scheduler{0};
+  SchedulerRunState scheduler;
   std::vector<ThreadId> tied_scratch;
 
   // Threads and fibers.
@@ -164,16 +166,15 @@ void Checkpoint::State::RestoreFiber(Fiber& fiber, const FiberImage& image) {
 }
 
 Checkpoint::Checkpoint(Scheduler& scheduler, trace::Tracer& tracer, Fiber* exec_fiber)
-    : state_(std::make_unique<State>()), scheduler_(scheduler), tracer_(tracer),
-      exec_fiber_(exec_fiber) {
+    : scheduler_(scheduler), tracer_(tracer), exec_fiber_(exec_fiber) {
   if (!Supported()) {
     throw UsageError("pcr: Checkpoint is unsupported in this build (ucontext or sanitizers); "
                      "use from-zero replay");
   }
   RequireNoExceptionInFlight("Checkpoint");
+  state_ = std::make_unique<State>(static_cast<const SchedulerRunState&>(scheduler_));
   State& s = *state_;
 
-  s.scheduler = scheduler_;
   s.tied_scratch = scheduler_.tied_scratch_;
 
   s.tcbs.reserve(scheduler_.tcbs_.size());

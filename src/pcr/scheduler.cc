@@ -21,6 +21,11 @@ namespace {
 // spinning in zero-cost operations (e.g. Yield with a zero cost model).
 constexpr int64_t kZeroProgressLimit = 10'000'000;
 
+// The exceptions in flight that the suspended contexts of this OS thread hold: its parked
+// fibers, and the context that resumed the running one (see Scheduler::Park). Per OS thread, like
+// the C++ runtime's own count, so runtimes sharing a thread share it.
+thread_local int g_suspended_exceptions = 0;
+
 int ClampPriority(int priority) {
   return std::clamp(priority, kMinPriority, kMaxPriority);
 }
@@ -150,6 +155,13 @@ void Scheduler::ThrowUnknownThread(ThreadId tid) const {
 
 Tcb* Scheduler::CurrentTcb() {
   return current_tid_ == kNoThread ? nullptr : &GetTcb(current_tid_);
+}
+
+Tcb& Scheduler::RequireCurrent(const char* op) {
+  if (current_tid_ == kNoThread) {
+    throw UsageError(std::string("pcr: ") + op + " outside a pcr thread");
+  }
+  return *tcbs_[current_tid_ - 1];
 }
 
 const Tcb* Scheduler::FindThread(ThreadId tid) const {
@@ -325,12 +337,9 @@ ForkResult Scheduler::TryFork(std::function<void()> body, ForkOptions options) {
 }
 
 void Scheduler::Join(ThreadId tid) {
-  Tcb* me = CurrentTcb();
-  if (me == nullptr) {
-    throw UsageError("pcr: JOIN outside a pcr thread");
-  }
+  Tcb& me = RequireCurrent("JOIN");
   Tcb& target = GetTcb(tid);
-  if (&target == me) {
+  if (&target == &me) {
     throw UsageError("pcr: JOIN on self");
   }
   if (target.detached) {
@@ -342,10 +351,10 @@ void Scheduler::Join(ThreadId tid) {
   }
   Compute(config_.costs.join);
   while (!target.finished) {
-    if (target.joiner != kNoThread && target.joiner != me->id) {
+    if (target.joiner != kNoThread && target.joiner != me.id) {
       throw UsageError("pcr: two threads joining " + target.name);
     }
-    target.joiner = me->id;
+    target.joiner = me.id;
     BlockCurrent(BlockReason::kJoin, &target, -1);
   }
   target.joined = true;
@@ -384,36 +393,22 @@ void Scheduler::Compute(Usec duration) {
   if (ChargeInPlace(*me)) {
     return;
   }
-  me->fiber->Suspend();
-  if (shutting_down_ && std::uncaught_exceptions() == 0) {
-    // Resumed by Shutdown: unwind this thread. Suppressed while another exception is already
-    // propagating (a cleanup charge mid-unwind), which would otherwise terminate the process.
-    throw ThreadKilled();
-  }
+  Park(*me);
 }
 
 void Scheduler::Yield() {
-  Tcb* me = CurrentTcb();
-  if (me == nullptr) {
-    throw UsageError("pcr: YIELD outside a pcr thread");
-  }
+  Tcb& me = RequireCurrent("YIELD");
   if (shutting_down_) {
     throw ThreadKilled();
   }
   Emit(trace::EventType::kYield);
   Compute(config_.costs.yield);
-  Requeue(*me);
-  me->fiber->Suspend();
-  if (shutting_down_) {
-    throw ThreadKilled();
-  }
+  Requeue(me);
+  Park(me);
 }
 
 void Scheduler::YieldButNotToMe() {
-  Tcb* me = CurrentTcb();
-  if (me == nullptr) {
-    throw UsageError("pcr: YieldButNotToMe outside a pcr thread");
-  }
+  Tcb& me = RequireCurrent("YieldButNotToMe");
   if (shutting_down_) {
     throw ThreadKilled();
   }
@@ -421,40 +416,28 @@ void Scheduler::YieldButNotToMe() {
   Compute(config_.costs.yield);
   // "gives the processor to the highest priority ready thread other than its caller, if such a
   // thread exists" (Section 5.2); the penalty lasts until the end of the timeslice (Section 6.3).
-  SetPenalized(*me, true);
-  Requeue(*me);
-  me->fiber->Suspend();
-  if (shutting_down_) {
-    throw ThreadKilled();
-  }
+  SetPenalized(me, true);
+  Requeue(me);
+  Park(me);
 }
 
 void Scheduler::DirectedYield(ThreadId target) {
-  Tcb* me = CurrentTcb();
-  if (me == nullptr) {
-    throw UsageError("pcr: DirectedYield outside a pcr thread");
-  }
+  Tcb& me = RequireCurrent("DirectedYield");
   if (shutting_down_) {
     throw ThreadKilled();
   }
-  Emit(trace::EventType::kDirectedYield, target, 0, GetTcb(target).name_sym);
-  Compute(config_.costs.yield);
   Tcb& donee = GetTcb(target);
+  Emit(trace::EventType::kDirectedYield, target, 0, donee.name_sym);
+  Compute(config_.costs.yield);
   if (donee.state == ThreadState::kReady) {
     SetBoosted(donee, true);  // wins selection regardless of priority, until the next tick
   }
-  Requeue(*me);
-  me->fiber->Suspend();
-  if (shutting_down_) {
-    throw ThreadKilled();
-  }
+  Requeue(me);
+  Park(me);
 }
 
 void Scheduler::Sleep(Usec duration) {
-  Tcb* me = CurrentTcb();
-  if (me == nullptr) {
-    throw UsageError("pcr: Sleep outside a pcr thread");
-  }
+  RequireCurrent("Sleep");
   Emit(trace::EventType::kSleep, 0, static_cast<uint64_t>(duration));
   // Tick granularity: the wakeup lands on the quantum grid, so "the smallest sleep interval is
   // the remainder of the scheduler quantum" (Section 6.3).
@@ -462,13 +445,10 @@ void Scheduler::Sleep(Usec duration) {
 }
 
 void Scheduler::SetPriority(int priority) {
-  Tcb* me = CurrentTcb();
-  if (me == nullptr) {
-    throw UsageError("pcr: SetPriority outside a pcr thread");
-  }
-  me->priority = ClampPriority(priority);
+  Tcb& me = RequireCurrent("SetPriority");
+  me.priority = ClampPriority(priority);
   best_ready_ = kBestReadyStale;
-  Emit(trace::EventType::kSetPriority, 0, static_cast<uint64_t>(me->priority));
+  Emit(trace::EventType::kSetPriority, 0, static_cast<uint64_t>(me.priority));
   Compute(1);  // preemption point so a self-demotion takes effect immediately
 }
 
@@ -484,18 +464,15 @@ int Scheduler::priority() const {
 // ---------------------------------------------------------------------------
 
 bool Scheduler::BlockCurrent(BlockReason reason, const void* object, Usec deadline) {
-  Tcb* me = CurrentTcb();
-  if (me == nullptr) {
-    throw UsageError("pcr: blocking call outside a pcr thread");
-  }
+  Tcb& me = RequireCurrent("blocking call");
   if (shutting_down_) {
     throw ThreadKilled();
   }
-  me->state = ThreadState::kBlocked;
-  me->block_reason = reason;
-  me->wait_object = object;
-  me->timer_fired = false;
-  SetBoosted(*me, false);
+  me.state = ThreadState::kBlocked;
+  me.block_reason = reason;
+  me.wait_object = object;
+  me.timer_fired = false;
+  SetBoosted(me, false);
   if (deadline >= 0) {
     // Injected timer skew: the timeout fires N quanta late. The paper's missing-notify bugs
     // stay hidden because a generous timeout limps the program along (Section 5.3); late
@@ -503,17 +480,14 @@ bool Scheduler::BlockCurrent(BlockReason reason, const void* object, Usec deadli
     if (uint64_t skew = ConsultFault(FaultSite::kTimerSkew); skew != 0) {
       deadline += static_cast<Usec>(skew) * config_.quantum;
     }
-    ArmTimer(deadline, me->id, me->wait_epoch);
+    ArmTimer(deadline, me.id, me.wait_epoch);
   }
-  if (me->processor >= 0) {
-    running_[static_cast<size_t>(me->processor)] = kNoThread;
-    me->processor = -1;
+  if (me.processor >= 0) {
+    running_[static_cast<size_t>(me.processor)] = kNoThread;
+    me.processor = -1;
   }
-  me->fiber->Suspend();
-  if (shutting_down_) {
-    throw ThreadKilled();
-  }
-  return me->timer_fired;
+  Park(me);
+  return me.timer_fired;
 }
 
 void Scheduler::WakeThread(ThreadId tid, bool from_timer, bool front) {
@@ -557,11 +531,8 @@ ThreadId Scheduler::PopValidWaiter(WaitQueue& queue) {
 }
 
 void Scheduler::EnqueueCurrentWaiter(WaitQueue& queue) {
-  Tcb* me = CurrentTcb();
-  if (me == nullptr) {
-    throw UsageError("pcr: wait outside a pcr thread");
-  }
-  queue.push_back(WaitEntry{me->id, me->wait_epoch});
+  Tcb& me = RequireCurrent("wait");
+  queue.push_back(WaitEntry{me.id, me.wait_epoch});
 }
 
 ThreadId Scheduler::BlockedOnOwner(const Tcb& t) const {
@@ -650,10 +621,7 @@ void Scheduler::MaybeForcePreempt(PreemptPoint point) {
   Emit(trace::EventType::kForcedPreempt, 0, static_cast<uint64_t>(point));
   ++counts_.forced_preempts;
   Requeue(*me);
-  me->fiber->Suspend();
-  if (shutting_down_) {
-    throw ThreadKilled();
-  }
+  Park(*me);
 }
 
 // ---------------------------------------------------------------------------
@@ -676,11 +644,7 @@ void Scheduler::CheckpointPause() {
   // frame — which runs on the exec stack — fire the hook, so the snapshot sees this fiber
   // cleanly suspended.
   checkpoint_pause_pending_ = true;
-  me->fiber->Suspend();
-  if (shutting_down_) {
-    // Resumed by Shutdown() while the group was being abandoned: unwind this thread.
-    throw ThreadKilled();
-  }
+  Park(*me);
 }
 
 void Scheduler::ThrowIfCheckpointAborted() {
@@ -1055,11 +1019,8 @@ void Scheduler::RunFiber(Tcb& tcb) {
     stack_bytes_reserved_ += tcb.fiber->stack_reserved_bytes();
     peak_stack_bytes_reserved_ = std::max(peak_stack_bytes_reserved_, stack_bytes_reserved_);
   }
-  ThreadId previous = current_tid_;
-  current_tid_ = tcb.id;
   counts_.fiber_switches += 2;  // one in, one back out when the fiber suspends or finishes
-  tcb.fiber->Resume();
-  current_tid_ = previous;
+  ResumeThread(tcb);
   // Checkpoint pauses: the fiber parked itself at a perturber consult (CheckpointPause). Fire
   // the hook from this frame — which lives on the exec stack, so a snapshot/restore rewinds to
   // exactly here — then resume the same fiber to continue the consult. The flag clears before
@@ -1069,15 +1030,25 @@ void Scheduler::RunFiber(Tcb& tcb) {
     checkpoint_pause_pending_ = false;
     checkpoint_hook_();
     ThrowIfCheckpointAborted();
-    current_tid_ = tcb.id;
-    tcb.fiber->Resume();
-    current_tid_ = previous;
+    ResumeThread(tcb);
   }
   ++zero_progress_ops_;
   CheckLivelock();
   if (tcb.finished) {
     ReapIfPossible(tcb);
   }
+}
+
+void Scheduler::ResumeThread(Tcb& tcb) {
+  // This context is suspended while the thread runs. An exception it has in flight (a host frame
+  // unwinding into Shutdown or into a drained run) is not the thread's, so it joins the count.
+  const int held = std::uncaught_exceptions() - g_suspended_exceptions;
+  g_suspended_exceptions += held;
+  const ThreadId previous = current_tid_;
+  current_tid_ = tcb.id;
+  tcb.fiber->Resume();
+  current_tid_ = previous;
+  g_suspended_exceptions -= held;
 }
 
 void Scheduler::FiberBody(Tcb& tcb) {
@@ -1100,6 +1071,19 @@ void Scheduler::FiberBody(Tcb& tcb) {
     tcb.entry = nullptr;
   }
   ExitCurrent();
+}
+
+void Scheduler::Park(Tcb& me) {
+  // std::uncaught_exceptions() counts every context of this OS thread. This thread's own share is
+  // what the suspended ones do not hold, and it joins their count while this one is parked. No
+  // exception is in flight at a checkpoint snapshot or restore, so both are 0 there.
+  const int own = std::uncaught_exceptions() - g_suspended_exceptions;
+  g_suspended_exceptions += own;
+  me.fiber->Suspend();
+  g_suspended_exceptions -= own;
+  if (shutting_down_ && own == 0) {
+    throw ThreadKilled();  // resumed by Shutdown
+  }
 }
 
 void Scheduler::ExitCurrent() {
@@ -1182,15 +1166,9 @@ void Scheduler::Settle() {
 // Run loop
 // ---------------------------------------------------------------------------
 
-Usec Scheduler::NextTickAfter(Usec t) const { return (t / config_.quantum + 1) * config_.quantum; }
-
 Usec Scheduler::GridDeadline(Usec relative_timeout) const {
   Usec ticks = (std::max<Usec>(0, relative_timeout) + config_.quantum - 1) / config_.quantum;
   return (now_ / config_.quantum + ticks) * config_.quantum;
-}
-
-Usec Scheduler::TickAtOrAfter(Usec t) const {
-  return (t + config_.quantum - 1) / config_.quantum * config_.quantum;
 }
 
 std::vector<Scheduler::TimerEntry> Scheduler::TakeBucket() {
@@ -1463,13 +1441,10 @@ void Scheduler::Shutdown() {
       }
       continue;
     }
-    ThreadId previous = current_tid_;
-    current_tid_ = t.id;
     int guard = 0;
     while (!t.finished && ++guard < 64) {
-      t.fiber->Resume();
+      ResumeThread(t);
     }
-    current_tid_ = previous;
     if (!t.finished) {
       std::fprintf(stderr, "pcr: thread %u (%s) survived shutdown unwinding\n", t.id,
                    t.name.c_str());

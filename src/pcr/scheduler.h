@@ -380,8 +380,11 @@ class Scheduler : private SchedulerRunState {
   // Ends every live thread: each ends done, and none is live, ready or running. Idempotent;
   // called by the Runtime destructor. Must run before any Monitor/Condition the threads may
   // still reference is destroyed. Two ways:
-  //  * Kill (the default): resumes each live fiber so that its blocking/compute call throws
-  //    ThreadKilled and the destructors on its stack run.
+  //  * Kill (the default): resumes each live fiber at the point where it parked. A thread that
+  //    parked with no exception of its own in flight throws ThreadKilled there, and the
+  //    destructors on its stack run. A thread that parked mid-unwind (a destructor's charge or
+  //    forced preempt) finishes that unwind instead. Exceptions that other threads or the host
+  //    have in flight do not count (see Park and ResumeThread).
   //  * Discard, when a checkpoint hook is installed and no exception is in flight on this OS
   //    thread: marks each thread done where it stands and never unwinds its frames. The fibers
   //    stay with their threads. The next Checkpoint::Restore rewinds or drops them; otherwise
@@ -531,7 +534,16 @@ class Scheduler : private SchedulerRunState {
   // thread can observe it; returns false (nothing changed) when the run loop must decide.
   bool ChargeInPlace(Tcb& me);
   void RunFiber(Tcb& tcb);
+  // Runs `tcb`, as the current thread, until it parks or exits.
+  void ResumeThread(Tcb& tcb);
   void FiberBody(Tcb& tcb);
+  // The calling thread's Tcb; from the host, throws UsageError "pcr: <op> outside a pcr thread".
+  Tcb& RequireCurrent(const char* op);
+  // Suspends the calling thread to whoever resumed it: the one suspension of a live thread
+  // (ExitCurrent's final one aside), and the one kill rule on resume. Resumed after shutdown
+  // began, the thread throws ThreadKilled unless it parked with an exception of its own in
+  // flight; then it finishes that unwind, where a second throw would terminate the process.
+  void Park(Tcb& me);
   void ExitCurrent();
   void ReapIfPossible(Tcb& tcb);
   // Destroys tcb.fiber, or parks it in limbo when pinned by a checkpoint. Call sites keep
@@ -584,15 +596,12 @@ class Scheduler : private SchedulerRunState {
   void RecycleBucket(std::vector<TimerEntry> bucket);
 
   RunStatus RunLoop(Usec deadline, bool idle_to_deadline);
-  Usec NextTickAfter(Usec t) const;     // strictly greater than t, on the quantum grid
-  Usec TickAtOrAfter(Usec t) const;
   void HandleTick();
   void FireTimersUpTo(Usec t);
   Usec NextTimerDeadline();             // -1 when no (valid) timer is pending
   Usec NextInterruptTime() const;       // -1 when none
   void DeliverInterruptsUpTo(Usec t);
   void AdvanceTo(Usec t);
-  void NoteProgress();
   void CheckLivelock();
 
   Config config_;

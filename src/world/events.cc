@@ -24,11 +24,4 @@ void InputDevice::ScriptUniform(pcr::Usec start, pcr::Usec end, double rate, Inp
   }
 }
 
-void InputDevice::ScriptBurst(pcr::Usec at, int count, pcr::Usec gap, InputKind kind) {
-  for (int i = 0; i < count; ++i) {
-    source_.PostAt(at + gap * i, EncodeInput(kind, sequence_++));
-    ++scripted_;
-  }
-}
-
 }  // namespace world

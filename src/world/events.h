@@ -39,9 +39,6 @@ class InputDevice {
   void ScriptUniform(pcr::Usec start, pcr::Usec end, double rate, InputKind kind,
                      double jitter = 0.3);
 
-  // Scripts a burst of `count` events starting at `at`, `gap` apart.
-  void ScriptBurst(pcr::Usec at, int count, pcr::Usec gap, InputKind kind);
-
   int64_t scripted() const { return scripted_; }
 
  private:

@@ -1,10 +1,12 @@
 // Mesa monitor and condition-variable semantics, including the Section 6.1 spurious lock
-// conflict and its deferred-reschedule fix, and the ownership an exception leaves behind when it
-// unwinds out of WAIT.
+// conflict and its deferred-reschedule fix, the ownership an exception leaves behind when it
+// unwinds out of WAIT, and which threads a shutdown kills while an exception is in flight.
 
 #include <gtest/gtest.h>
 
 #include <exception>
+#include <functional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -581,6 +583,114 @@ TEST(WaitKillTest, InjectedDeathInsideWaitLeavesTheLockToItsLiveOwner) {
   rt.scheduler().set_fault_injector(nullptr);
   EXPECT_EQ(lock.owner(), kNoThread);
   EXPECT_TRUE(rt.scheduler().GetTcb(notifier).finished);
+}
+
+// --- Shutdown kills each thread by its own exceptions -----------------------------------------
+//
+// std::uncaught_exceptions() counts every fiber of an OS thread together, so a thread parked
+// mid-unwind, or a host frame unwinding into ~Runtime, raises it for every thread. Shutdown must
+// still kill each thread that is not itself unwinding, and let one that is finish its unwind: a
+// second throw there would terminate the process.
+
+// Forces a preempt at every monitor exit, so a thread unwinding out of a MonitorGuard parks
+// inside its destructor (Section 5.3's barging window).
+class PreemptAtMonitorExit : public SchedulePerturber {
+ public:
+  bool ForcePreempt(PreemptPoint point, ThreadId /*current*/) override {
+    return point == PreemptPoint::kMonitorExit;
+  }
+  size_t PickNext(const ThreadId* /*candidates*/, size_t /*count*/) override { return 0; }
+};
+
+// Charges `step` per iteration and counts in `*in_shutdown` the iterations that begin after
+// shutdown has begun. A thread Shutdown fails to kill runs on in its body, where Compute returns
+// at once; the bound turns that into a count instead of a hang.
+std::function<void()> Spinner(Scheduler& scheduler, Usec step, int* in_shutdown) {
+  return [&scheduler, step, in_shutdown] {
+    for (int i = 0; i < 10'000; ++i) {
+      if (scheduler.shutting_down()) {
+        ++*in_shutdown;
+      }
+      scheduler.Compute(step);
+    }
+  };
+}
+
+void ThrowInsideGuard(MonitorLock& lock) {
+  MonitorGuard guard(lock);
+  throw std::runtime_error("boom");
+}
+
+TEST(ShutdownKillTest, AThreadParkedMidUnwindFinishesItsUnwind) {
+  PreemptAtMonitorExit perturber;
+  int spins_in_shutdown = 0;
+  Runtime rt;
+  MonitorLock lock(rt.scheduler(), "m");
+  rt.scheduler().set_perturber(&perturber);
+  ThreadId thrower = rt.Fork([&] { ThrowInsideGuard(lock); });
+  ThreadId spinner = rt.Fork(Spinner(rt.scheduler(), 1000, &spins_in_shutdown));
+  rt.RunFor(10 * kUsecPerMsec);
+  EXPECT_FALSE(rt.scheduler().GetTcb(thrower).finished) << "the thrower must park mid-unwind";
+  rt.Shutdown();
+  EXPECT_TRUE(rt.scheduler().GetTcb(thrower).finished);
+  EXPECT_EQ(rt.scheduler().uncaught_exits(), 1) << "the thrower's own exception must end it";
+  EXPECT_TRUE(rt.scheduler().GetTcb(spinner).finished);
+  EXPECT_EQ(spins_in_shutdown, 0);
+  EXPECT_EQ(lock.owner(), kNoThread);
+  EXPECT_FALSE(lock.poisoned());
+}
+
+TEST(ShutdownKillTest, KillsASpinnerWhileAnotherThreadIsParkedMidUnwind) {
+  PreemptAtMonitorExit perturber;
+  int spins_in_shutdown = 0;
+  Config config;
+  config.quantum = kUsecPerMsec;  // the spinner yields the processor to the thrower at 1 ms
+  Runtime rt(config);
+  MonitorLock lock(rt.scheduler(), "m");
+  rt.scheduler().set_perturber(&perturber);
+  ThreadId spinner = rt.Fork(Spinner(rt.scheduler(), 100, &spins_in_shutdown));
+  ThreadId thrower = rt.Fork([&] { ThrowInsideGuard(lock); });
+  rt.RunFor(1500);
+  EXPECT_FALSE(rt.scheduler().GetTcb(thrower).finished) << "the thrower must park mid-unwind";
+  rt.Shutdown();
+  EXPECT_EQ(spins_in_shutdown, 0) << "the spinner ran its body during shutdown";
+  EXPECT_TRUE(rt.scheduler().GetTcb(spinner).finished);
+  EXPECT_TRUE(rt.scheduler().GetTcb(thrower).finished);
+  EXPECT_EQ(rt.scheduler().uncaught_exits(), 1);
+}
+
+TEST(ShutdownKillTest, KillsASpinnerWhenShutdownRunsDuringAHostUnwind) {
+  int spins_in_shutdown = 0;
+  try {
+    Runtime rt;
+    rt.Fork(Spinner(rt.scheduler(), 1000, &spins_in_shutdown));
+    rt.RunFor(10 * kUsecPerMsec);
+    throw std::runtime_error("host");  // ~Runtime shuts the spinner down during this unwind
+  } catch (const std::runtime_error&) {
+  }
+  EXPECT_EQ(spins_in_shutdown, 0) << "the spinner ran its body during shutdown";
+}
+
+// The host runs the simulation on while it unwinds, as the explorer drains a run that paused
+// with an exception in flight. The spinner parks during that run; the host's exception is not
+// its own.
+TEST(ShutdownKillTest, KillsASpinnerThatParkedWhileTheHostWasUnwinding) {
+  struct RunOnUnwind {
+    Runtime& rt;
+    ~RunOnUnwind() {
+      rt.RunFor(10 * kUsecPerMsec);
+      rt.Shutdown();
+    }
+  };
+  int spins_in_shutdown = 0;
+  try {
+    Runtime rt;
+    rt.Fork(Spinner(rt.scheduler(), 1000, &spins_in_shutdown));
+    RunOnUnwind run{rt};
+    throw std::runtime_error("host");
+  } catch (const std::runtime_error&) {
+  }
+  EXPECT_EQ(spins_in_shutdown, 0) << "the spinner ran its body during shutdown";
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/pcr/runtime.h"
@@ -274,6 +277,51 @@ TEST(SchedulerTest, JoinAfterDetachIsUsageError) {
   });
   rt.RunUntilQuiescent(kUsecPerSec);
   EXPECT_TRUE(failed);
+}
+
+// Every operation that acts on the calling thread names itself when the host calls it.
+TEST(SchedulerTest, ThreadOperationsFromTheHostAreUsageErrors) {
+  Runtime rt(TestConfig());
+  Scheduler& s = rt.scheduler();
+  WaitQueue queue;
+  const std::pair<const char*, std::function<void()>> operations[] = {
+      {"pcr: YIELD outside a pcr thread", [&] { s.Yield(); }},
+      {"pcr: YieldButNotToMe outside a pcr thread", [&] { s.YieldButNotToMe(); }},
+      {"pcr: DirectedYield outside a pcr thread", [&] { s.DirectedYield(1); }},
+      {"pcr: Sleep outside a pcr thread", [&] { s.Sleep(kUsecPerMsec); }},
+      {"pcr: SetPriority outside a pcr thread", [&] { s.SetPriority(kMaxPriority); }},
+      {"pcr: JOIN outside a pcr thread", [&] { s.Join(1); }},
+      {"pcr: blocking call outside a pcr thread",
+       [&] { s.BlockCurrent(BlockReason::kSleep, nullptr, -1); }},
+      {"pcr: wait outside a pcr thread", [&] { s.EnqueueCurrentWaiter(queue); }},
+  };
+  for (const auto& [message, operation] : operations) {
+    try {
+      operation();
+      ADD_FAILURE() << "no UsageError from the host: " << message;
+    } catch (const UsageError& e) {
+      EXPECT_STREQ(e.what(), message);
+    }
+  }
+  EXPECT_TRUE(queue.empty());
+}
+
+// DirectedYield looks its target up before it emits or charges anything.
+TEST(SchedulerTest, DirectedYieldToAnUnknownThreadIsUsageError) {
+  Runtime rt(TestConfig());
+  std::string message;
+  rt.ForkDetached([&] {
+    try {
+      rt.scheduler().DirectedYield(99);
+    } catch (const UsageError& e) {
+      message = e.what();
+    }
+  });
+  rt.RunUntilQuiescent(kUsecPerSec);
+  EXPECT_EQ(message, "pcr: unknown thread id 99");
+  for (const trace::Event& e : rt.tracer().view()) {
+    EXPECT_NE(e.type, trace::EventType::kDirectedYield);
+  }
 }
 
 TEST(SchedulerTest, ForkFailureErrorModeThrows) {
