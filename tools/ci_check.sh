@@ -122,7 +122,10 @@ done
 # outputs on either switch path. So does the campaign suite: campaign replays recycle each
 # worker's arena, so its stacks are reused by fibers on either switch path. And the fault suite:
 # injected deaths and shutdown kills unwind out of WAIT with no handler in between, so the
-# unwinder must cross fiber frames on either switch path.
+# unwinder must cross fiber frames on either switch path; and Scheduler::Park, where every
+# live thread parks, tells a thread's own exceptions from the rest of the OS thread's count,
+# which the kills while another fiber or the host unwinds check on either path
+# (ShutdownKillTest).
 BUILD_UCONTEXT=${BUILD_UCONTEXT:-"$ROOT/build-ci-ucontext"}
 echo "== Release build with -DPCR_FIBER_UCONTEXT=ON"
 cmake -B "$BUILD_UCONTEXT" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release \
