@@ -13,9 +13,11 @@
 # --load-scenario runs (percentiles + trace hash), `pcrcheck --all
 # --workers=1` (verdicts, repros, replay hashes), the explorer's boundary and pruning counters
 # from `pcrcheck --profile` (--all, then every scenario at --budget=2000 with its repros),
-# bench_service_load's whole table, and a
+# bench_service_load's whole table, a
 # 20-round `pcrcheck --campaign` from an empty corpus (report + corpus file names), which must
-# print the same text at --workers=1 and --workers=4.
+# print the same text at --workers=1 and --workers=4, and the whole output of
+# bench_priority_inversion and bench_scheduling_policy, the only runs that turn on priority
+# inheritance and fair share.
 set -eu
 
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
@@ -27,6 +29,8 @@ LOCK=${2:-}
 PCRSIM=$BUILD/tools/pcrsim
 PCRCHECK=$BUILD/tools/pcrcheck
 SERVICE_LOAD=$BUILD/bench/bench_service_load
+PRIORITY_INVERSION=$BUILD/bench/bench_priority_inversion
+SCHEDULING_POLICY=$BUILD/bench/bench_scheduling_policy
 # Short runs keep the whole lock at about two seconds on a Release build.
 DURATION=5
 # The pcrcheck --profile lines the lock keeps. The checkpoint_* counters are left out: saves
@@ -114,6 +118,12 @@ generate() {
     exit 1
   fi
   cat "$TMP/campaign1"
+  echo "# bench_priority_inversion"
+  run "$PRIORITY_INVERSION"
+  cat "$TMP/out"
+  echo "# bench_scheduling_policy"
+  run "$SCHEDULING_POLICY"
+  cat "$TMP/out"
 }
 
 if [ -z "$LOCK" ]; then
