@@ -253,12 +253,10 @@ void Checkpoint::Restore() {
       continue;
     }
     if (!t.fiber) {
-      auto limbo = scheduler_.fiber_limbo_.find(t.id);
-      if (limbo == scheduler_.fiber_limbo_.end()) {
+      if (!t.limbo) {
         std::abort();  // pinned fiber vanished: RetireFiber bypassed the limbo
       }
-      t.fiber = std::move(limbo->second);
-      scheduler_.fiber_limbo_.erase(limbo);
+      t.fiber = std::move(t.limbo);
     }
     State::RestoreFiber(*t.fiber, image);
   }

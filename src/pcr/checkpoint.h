@@ -1,14 +1,14 @@
 // Runtime checkpoint/restore for checkpoint-and-branch exploration.
 //
 // A Checkpoint snapshots everything a deterministic run depends on — scheduler scalars and
-// queues, the virtual clock, the timer wheel, pending interrupts, every live fiber's stack
+// queues, the virtual clock, the timer list, pending interrupts, every live fiber's stack
 // bytes and saved context, monitor/condition/weak-cell state, and the tracer's event buffer —
 // so the explorer can rewind a paused execution to a decision point and branch into a
 // different suffix without re-executing the shared prefix. Restore is same-address: fiber
 // stacks are memcpy'd back into the very mapping they ran on (saved stack pointers and every
 // frame-internal pointer stay valid), which requires the stacks to stay checked out of the
-// StackPool for the checkpoint's lifetime. The Checkpoint pins them (Scheduler fiber limbo);
-// destroying the checkpoint unpins.
+// StackPool for the checkpoint's lifetime. The Checkpoint pins their threads (Tcb::pins, and
+// a pinned thread's retired fiber waits in Tcb::limbo); destroying the checkpoint unpins.
 //
 // Scope and limits (see docs/INTERNALS.md "Checkpoint-and-branch exploration"):
 //   * Only state reachable from the Scheduler plus registered Checkpointables is captured.
