@@ -2,6 +2,8 @@
 // boundaries, stack accounting, flag interactions.
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -68,6 +70,66 @@ TEST(RunLoopTest, TinyQuantumStillTerminates) {
   });
   EXPECT_EQ(rt.RunUntilQuiescent(kUsecPerSec), RunStatus::kQuiescent);
   EXPECT_TRUE(done);
+}
+
+// The timer wakeups a run made, in firing order: (thread, virtual time).
+std::vector<std::pair<ThreadId, Usec>> TimerFires(const trace::Tracer& tracer) {
+  std::vector<std::pair<ThreadId, Usec>> fires;
+  for (const trace::Event& e : tracer.view()) {
+    if (e.type == trace::EventType::kTimerFire) {
+      fires.emplace_back(e.thread, e.time_us);
+    }
+  }
+  return fires;
+}
+
+TEST(RunLoopTest, TimersDueAtOneTickWakeInArmingOrder) {
+  // `first` yields before it sleeps, so the three arm in the order second, third, first.
+  Runtime rt;  // quantum 50 ms: every sleep below is due at the 100 ms tick
+  ThreadId first = rt.Fork([] {
+    thisthread::Yield();
+    thisthread::Sleep(60 * kUsecPerMsec);
+  });
+  ThreadId second = rt.Fork([] { thisthread::Sleep(60 * kUsecPerMsec); });
+  ThreadId third = rt.Fork([] { thisthread::Sleep(60 * kUsecPerMsec); });
+  EXPECT_EQ(rt.RunUntilQuiescent(kUsecPerSec), RunStatus::kQuiescent);
+  const Usec tick = 100 * kUsecPerMsec;
+  EXPECT_EQ(TimerFires(rt.tracer()),
+            (std::vector<std::pair<ThreadId, Usec>>{{second, tick}, {third, tick}, {first, tick}}));
+}
+
+TEST(RunLoopTest, ATimerArmedLaterForAnEarlierTickFiresFirst) {
+  Runtime rt;
+  ThreadId late = rt.Fork([] { thisthread::Sleep(200 * kUsecPerMsec); });   // arms first
+  ThreadId early = rt.Fork([] { thisthread::Sleep(60 * kUsecPerMsec); });   // arms second
+  ThreadId same = rt.Fork([] { thisthread::Sleep(160 * kUsecPerMsec); });  // shares late's tick
+  EXPECT_EQ(rt.RunUntilQuiescent(kUsecPerSec), RunStatus::kQuiescent);
+  EXPECT_EQ(TimerFires(rt.tracer()),
+            (std::vector<std::pair<ThreadId, Usec>>{{early, 100 * kUsecPerMsec},
+                                                    {late, 200 * kUsecPerMsec},
+                                                    {same, 200 * kUsecPerMsec}}));
+}
+
+TEST(RunLoopTest, AStaleTimerDoesNotKeepTheRunLoopTicking) {
+  // The waiter is notified at 1 ms, so its 100 ms timeout entry goes stale. Nothing else is
+  // pending, so the run is quiescent at once, before the first tick.
+  Runtime rt;
+  MonitorLock lock(rt.scheduler(), "m");
+  Condition cv(lock, "cv", 100 * kUsecPerMsec);
+  bool notified = false;
+  rt.ForkDetached([&] {
+    MonitorGuard guard(lock);
+    notified = cv.Wait();
+  });
+  rt.ForkDetached([&] {
+    thisthread::Compute(kUsecPerMsec);
+    MonitorGuard guard(lock);
+    cv.Notify();
+  });
+  EXPECT_EQ(rt.RunUntilQuiescent(kUsecPerSec), RunStatus::kQuiescent);
+  EXPECT_TRUE(notified);
+  EXPECT_LT(rt.now(), 50 * kUsecPerMsec);
+  EXPECT_TRUE(TimerFires(rt.tracer()).empty());
 }
 
 TEST(EpochTest, NotifyAfterTimeoutDoesNotDoubleWake) {
