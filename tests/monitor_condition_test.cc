@@ -640,6 +640,35 @@ TEST(ShutdownKillTest, AThreadParkedMidUnwindFinishesItsUnwind) {
   EXPECT_FALSE(lock.poisoned());
 }
 
+// Sleeps as its scope unwinds: on an unwind that Shutdown lets finish, a destructor that blocks.
+struct SleepOnUnwind {
+  Scheduler& scheduler;
+  ~SleepOnUnwind() noexcept(false) { scheduler.Sleep(kUsecPerMsec); }
+};
+
+// A thread finishing its own unwind during shutdown returns at once from a blocking call
+// instead of being killed again. The spinner keeps the thrower parked mid-unwind until shutdown.
+TEST(ShutdownKillTest, AThreadFinishingItsUnwindReturnsFromABlockingCall) {
+  PreemptAtMonitorExit perturber;
+  int spins_in_shutdown = 0;
+  Runtime rt;
+  MonitorLock lock(rt.scheduler(), "m");
+  rt.scheduler().set_perturber(&perturber);
+  ThreadId thrower = rt.Fork([&] {
+    SleepOnUnwind outer{rt.scheduler()};
+    ThrowInsideGuard(lock);
+  });
+  ThreadId spinner = rt.Fork(Spinner(rt.scheduler(), 1000, &spins_in_shutdown));
+  rt.RunFor(10 * kUsecPerMsec);
+  EXPECT_FALSE(rt.scheduler().GetTcb(thrower).finished) << "the thrower must park mid-unwind";
+  rt.Shutdown();
+  EXPECT_TRUE(rt.scheduler().GetTcb(thrower).finished);
+  EXPECT_EQ(rt.scheduler().uncaught_exits(), 1) << "the thrower's own exception must end it";
+  EXPECT_TRUE(rt.scheduler().GetTcb(spinner).finished);
+  EXPECT_EQ(spins_in_shutdown, 0);
+  EXPECT_EQ(lock.owner(), kNoThread);
+}
+
 TEST(ShutdownKillTest, KillsASpinnerWhileAnotherThreadIsParkedMidUnwind) {
   PreemptAtMonitorExit perturber;
   int spins_in_shutdown = 0;
