@@ -64,8 +64,8 @@ struct LeafWitness {
 // witness's consultation suffix and classifies the candidate leaf. `sorted_change_points` is
 // the group's PCT change-point set, pre-sorted (the recorder sorts its own copy; the
 // simulation must binary-search the same order). Probabilities are read from `policy`. The
-// simulation replicates RecordingPerturber draw-for-draw — same engine, same distributions,
-// same draw order — so kIdenticalPrune is exact, not heuristic.
+// simulation draws from the recorder's engine through the recorder's own decision rule
+// (DecidePreempt and DecidePick, perturbers.h), so kIdenticalPrune is exact, not heuristic.
 LeafVerdict ClassifyLeaf(uint64_t leaf_seed, const PerturbPolicy& policy,
                          const std::vector<uint64_t>& sorted_change_points,
                          const LeafWitness& witness);

@@ -6,6 +6,31 @@
 
 namespace explore {
 
+bool DecidePreempt(const PerturbPolicy& policy, const std::vector<uint64_t>& sorted_change_points,
+                   uint64_t preempt_index, SplitMix64& rng) {
+  if (std::binary_search(sorted_change_points.begin(), sorted_change_points.end(),
+                         preempt_index)) {
+    return true;
+  }
+  if (policy.preempt_probability <= 0.0) {
+    return false;
+  }
+  std::uniform_real_distribution<double> coin(0.0, 1.0);
+  return coin(rng) < policy.preempt_probability;
+}
+
+size_t DecidePick(const PerturbPolicy& policy, size_t count, SplitMix64& rng) {
+  if (policy.shuffle_probability <= 0.0 || count <= 1) {
+    return 0;
+  }
+  std::uniform_real_distribution<double> coin(0.0, 1.0);
+  if (coin(rng) >= policy.shuffle_probability) {
+    return 0;
+  }
+  std::uniform_int_distribution<size_t> pick(0, std::min<size_t>(count, 16) - 1);
+  return pick(rng);
+}
+
 RecordingPerturber::RecordingPerturber(const PerturbPolicy& policy)
     : policy_(policy), rng_(policy.seed) {
   std::sort(policy_.change_points.begin(), policy_.change_points.end());
@@ -37,12 +62,7 @@ bool RecordingPerturber::ForcePreempt(pcr::PreemptPoint /*point*/, pcr::ThreadId
   if (decisions_.size() >= kMaxRecordedDecisions) {
     return false;  // stopped recording; must answer the replayer's past-end default
   }
-  bool fire = std::binary_search(policy_.change_points.begin(), policy_.change_points.end(),
-                                 index);
-  if (!fire && policy_.preempt_probability > 0.0) {
-    std::uniform_real_distribution<double> coin(0.0, 1.0);
-    fire = coin(rng_) < policy_.preempt_probability;
-  }
+  const bool fire = DecidePreempt(policy_, policy_.change_points, index, rng_);
   Record(fire ? 1 : 0);
   if (log_tracer_ != nullptr && consult_log_.size() < kMaxRecordedDecisions) {
     consult_log_.push_back({log_tracer_->size(), index, 0, kConsultForcePreempt,
@@ -56,14 +76,7 @@ size_t RecordingPerturber::PickNext(const pcr::ThreadId* /*candidates*/, size_t 
   if (decisions_.size() >= kMaxRecordedDecisions) {
     return 0;
   }
-  size_t choice = 0;
-  if (policy_.shuffle_probability > 0.0 && count > 1) {
-    std::uniform_real_distribution<double> coin(0.0, 1.0);
-    if (coin(rng_) < policy_.shuffle_probability) {
-      std::uniform_int_distribution<size_t> pick(0, std::min<size_t>(count, 16) - 1);
-      choice = pick(rng_);
-    }
-  }
+  const size_t choice = DecidePick(policy_, count, rng_);
   Record(static_cast<Decision>(choice));
   if (log_tracer_ != nullptr && consult_log_.size() < kMaxRecordedDecisions) {
     consult_log_.push_back({log_tracer_->size(), 0, static_cast<uint32_t>(count),

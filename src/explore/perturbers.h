@@ -81,6 +81,15 @@ struct PerturbPolicy {
   std::vector<uint64_t> change_points;    // ForcePreempt consultation indices that always fire
 };
 
+// The recorder's decision rule, draw for draw: RecordingPerturber answers its consultations
+// with these, and ClassifyLeaf (dpor.h) pre-simulates a candidate leaf's stream with them, so
+// the two cannot drift apart. DecidePreempt answers the ForcePreempt consultation with global
+// index `preempt_index` (`sorted_change_points` is the policy's change points, sorted);
+// DecidePick answers a tie-break among `count` candidates.
+bool DecidePreempt(const PerturbPolicy& policy, const std::vector<uint64_t>& sorted_change_points,
+                   uint64_t preempt_index, SplitMix64& rng);
+size_t DecidePick(const PerturbPolicy& policy, size_t count, SplitMix64& rng);
+
 // One consultation as the recorder saw it, with enough context to re-derive the decision any
 // *other* segment seed would have produced at the same point (dpor.h pre-simulates candidate
 // leaf seeds over this log without executing them). `event_index` anchors the consultation in
